@@ -63,6 +63,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -348,8 +349,15 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             specs = parse_mix(args.mix)
         else:
             specs = [ReplicaSpec(args.network, args.size, width=args.width)] * args.replicas
+        for spec in dict.fromkeys(specs):
+            spec.graph()  # a size the model cannot take fails here, not mid-run
     except ValueError as exc:
-        print(exc, file=sys.stderr)
+        given = (
+            f"--mix {args.mix!r}"
+            if args.mix
+            else f"--network {args.network} --size {args.size} --width {args.width}"
+        )
+        print(f"repro fleet: bad {given}: {exc}", file=sys.stderr)
         return 2
     if args.out and Path(args.out).exists() and not args.force:
         print(f"{args.out} exists; pass --force to overwrite", file=sys.stderr)
@@ -1298,8 +1306,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bad_rate(args: argparse.Namespace) -> str | None:
+    """One line naming a ``--rate``/``--sweep`` value that is not a finite FPS > 0."""
+    for flag in ("rate", "sweep"):
+        value = getattr(args, flag, None)
+        for rate in value if isinstance(value, list) else [value]:
+            if rate is not None and not (math.isfinite(rate) and rate > 0):
+                return f"repro {args.command}: --{flag} must be a finite FPS > 0, got {rate!r}"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    bad = _bad_rate(args)
+    if bad is not None:
+        print(bad, file=sys.stderr)
+        return 2
     return args.func(args)
 
 

@@ -15,8 +15,10 @@ and per-image completion cycles so that claim can be tested, not assumed.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections.abc import Callable
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -121,9 +123,15 @@ class Engine:
         ``fast=True`` (the default) runs the runnable-set scheduler: kernels
         that report a stall (starved / blocked / idle) are parked and woken
         by stream push/pop events, with the skipped cycles bulk-accounted so
-        every counter matches the exhaustive loop bit for bit.  When no
-        kernel is runnable the engine fast-forwards straight to the next
-        scheduled wake-up.  ``fast=False`` keeps the original
+        every counter matches the exhaustive loop bit for bit.  Each cycle
+        ticks, in kernel-list order, only the kernels that did not park on
+        the previous cycle plus those whose wake fell due; wakes wait on a
+        min-heap of ``(wake_cycle, kernel_index)`` entries, and an entry
+        whose kernel has since woken or re-parked is stale and dropped.  A
+        pop that frees a blocked writer wakes it this cycle if its slot is
+        still ahead in the tick order, else on the next cycle.  When no
+        kernel is runnable the engine jumps straight to the earliest live
+        wake, never backwards.  ``fast=False`` keeps the original
         tick-everything loop as the executable reference semantics.
 
         ``trace`` accepts a fresh :class:`~repro.dataflow.trace.Tracer`;
@@ -147,7 +155,8 @@ class Engine:
         (built by ``LeapController.for_engine``): on top of the fast
         scheduler, proven steady-state periods are skipped wholesale, with
         every counter, list, park offset and trace event synthesized to
-        stay bit-identical to the exhaustive loop.  Requires ``fast=True``.
+        stay bit-identical to the exhaustive loop; the wake heap is rebuilt
+        from the shifted park state after each jump.  Requires ``fast=True``.
         """
         if max_cycles <= 0:
             raise ValueError(
@@ -230,7 +239,8 @@ class Engine:
     # * A kernel that reported BLOCKED cannot unstall until an output pop
     #   frees space (pop hook).
     # * An IDLE kernel (host endpoints after their data is exhausted) never
-    #   unstalls; its idle cycles are settled when the run ends.
+    #   unstalls unless it set a ``_wake_hint``; otherwise its idle cycles
+    #   are settled when the run ends.
     # * Stall ticks are side-effect-free except for their counters: one
     #   stall counter per cycle, plus one ``full_rejections`` per cycle on
     #   ``outputs[0]`` for kernels whose blocked tick attempts a push
@@ -239,6 +249,28 @@ class Engine:
     # * Kernels whose tick reports no classification are never parked and
     #   tick every cycle, so arbitrary user kernels degrade to the
     #   exhaustive semantics rather than to wrong schedules.
+    #
+    # The runnable set that replaces the per-cycle sweep over all kernels:
+    #
+    # * Each cycle ticks, in kernel-list order, the kernels that did not
+    #   park on the previous cycle plus the parked kernels whose wake is
+    #   due.  Parked kernels are never visited otherwise.
+    # * Every write of a finite ``_wake_at`` to a parked kernel — the park
+    #   itself and the stream push/pop hooks, which only ever lower it —
+    #   pushes ``(wake_cycle, kernel_index)`` onto the shared wake heap
+    #   (``Kernel._wake_heap``).  An entry is stale, and dropped when
+    #   popped, unless its kernel is still parked with ``_wake_at`` equal
+    #   to the entry's cycle.  A kernel whose wake returns to an earlier
+    #   value holds two identical entries; they pop adjacently and the
+    #   second is dropped.
+    # * Same-cycle rule: only a pop hook wakes a kernel at the current
+    #   cycle.  If the freed writer's slot is still ahead of the popping
+    #   kernel it is inserted into this cycle's sweep; otherwise it ticks
+    #   on the next cycle, exactly when the exhaustive loop's next tick of
+    #   it would first see the space.
+    # * When nothing is runnable the clock jumps to the earliest live heap
+    #   entry, never backwards.  A leap jump shifts park offsets and wake
+    #   cycles, so the heap is rebuilt from kernel state after it.
 
     def _run_fast(
         self,
@@ -249,71 +281,108 @@ class Engine:
         kernels = self.kernels
         tracer = self._tracer
         telemetry = self._telemetry
-        for kernel in kernels:
+        heap: list[tuple[int, int]] = []
+        for index, kernel in enumerate(kernels):
             kernel._parked = False
             kernel._wake_at = WAKE_NEVER
-        n = len(kernels)
-        n_parked = 0
+            kernel._sched_index = index
+            kernel._wake_heap = heap
+        # Kernels to tick next cycle: those that did not park (in list
+        # order) and those woken for it (unordered until merged).
+        runnable = list(range(len(kernels)))
+        woken: list[int] = []
         cycle = 0
         while not done():
-            if n_parked == n:
+            if not runnable and not woken:
                 # Nothing runnable: fast-forward straight to the earliest
-                # wake-up (pending stream latency, usually a link in flight).
-                # The clamp matters: a pop hook can leave a parked writer
-                # with a _wake_at in the *past* (the pop's cycle, when the
-                # writer's sweep slot had already gone by), and jumping to
-                # it would rewind the clock and replay cycles the exhaustive
-                # loop ran exactly once.  Stale wake-ups are instead served
-                # by the ``_wake_at <= cycle`` test in the sweep below.
-                target = min(k._wake_at for k in kernels)
+                # live wake-up (pending stream latency, usually a link in
+                # flight).  Heap entries are all at or after this cycle, so
+                # the jump never rewinds the clock.
+                while heap:
+                    wake, index = heap[0]
+                    kernel = kernels[index]
+                    if kernel._parked and kernel._wake_at == wake:
+                        break
+                    heappop(heap)
+                target = heap[0][0] if heap else WAKE_NEVER
                 if target >= max_cycles:
                     self._settle(max_cycles)
                 if target > cycle:
                     cycle = target
-            for kernel in kernels:
-                if kernel._parked:
-                    if kernel._wake_at > cycle:
+            if heap and heap[0][0] <= cycle:
+                last: tuple[int, int] | None = None
+                while heap and heap[0][0] <= cycle:
+                    entry = heappop(heap)
+                    if entry == last:
                         continue
+                    last = entry
+                    wake, index = entry
+                    kernel = kernels[index]
+                    if kernel._parked and kernel._wake_at == wake:
+                        woken.append(index)
+            todo = runnable
+            if woken:
+                todo += woken
+                todo.sort()
+                woken = []
+            runnable = []
+            for position in todo:
+                kernel = kernels[position]
+                if kernel._parked:
                     # Wake: replay the stall counters for the skipped cycles.
                     skipped = cycle - kernel._park_cycle - 1
                     if skipped > 0:
                         self._account(kernel, skipped)
                     kernel._parked = False
                     kernel._wake_at = WAKE_NEVER
-                    n_parked -= 1
                 status = kernel.tick(cycle)
                 if tracer is not None:
                     tracer.on_tick(kernel.name, cycle, status)
-                if status is not None:
+                if status is None:
+                    runnable.append(position)
+                else:
                     kernel._parked = True
                     kernel._park_cycle = cycle
                     kernel._park_kind = status
-                    n_parked += 1
+                    wake = WAKE_NEVER
                     if status == STALL_STARVED:
                         # Timed wake at the earliest not-yet-ready input
                         # element; inputs that are already ready cannot
                         # change this kernel's state (only a new push on
                         # another input can, via the push hook).
-                        best = WAKE_NEVER
                         for stream in kernel.inputs:
                             fifo = stream._fifo
                             if fifo:
                                 ready = fifo[0][1]
-                                if cycle < ready < best:
-                                    best = ready
-                        kernel._wake_at = best
+                                if cycle < ready < wake:
+                                    wake = ready
                     elif status == STALL_BLOCKED:
                         # Defensive: with a non-topological tick order a
                         # consumer may pop before this kernel ticks; re-check
                         # next cycle if space already exists.
                         if all(s.can_push() for s in kernel.outputs):
-                            kernel._wake_at = cycle + 1
+                            wake = cycle + 1
                     elif kernel._wake_hint > cycle:
                         # An idle park with a self-scheduled wake-up: the
                         # open-loop host source knows the exact cycle its
                         # next image arrives.  Other STALL_IDLE kernels never
                         # wake and are settled at end of run.
-                        kernel._wake_at = kernel._wake_hint
+                        wake = kernel._wake_hint
+                    kernel._wake_at = wake
+                    if wake < WAKE_NEVER:
+                        heappush(heap, (wake, position))
+                if heap and heap[0][0] <= cycle:
+                    # A pop hook in this tick freed a blocked writer at this
+                    # very cycle: it reruns now if its slot is still ahead
+                    # (iteration picks up the insertion), else next cycle.
+                    while heap and heap[0][0] <= cycle:
+                        wake, index = heappop(heap)
+                        kernel = kernels[index]
+                        if kernel._parked and kernel._wake_at == wake:
+                            if index > position:
+                                insort(todo, index)
+                            else:
+                                woken.append(index)
             if leap is not None:
                 # After the sweep the cycle's state is final: the controller
                 # snapshots at sink completions and, once periodicity is
@@ -325,6 +394,16 @@ class Engine:
                 jumped = leap.on_cycle_end(cycle)
                 if jumped is not None:
                     cycle = jumped
+                    # The jump shifted every parked kernel's wake cycle:
+                    # rebuild the heap from kernel state (this also covers
+                    # the kernels already woken for the next cycle).
+                    heap[:] = [
+                        (k._wake_at, i)
+                        for i, k in enumerate(kernels)
+                        if k._parked and k._wake_at < WAKE_NEVER
+                    ]
+                    heapify(heap)
+                    woken = []
             cycle += 1
             if telemetry is not None and cycle >= telemetry.next_sample_at:
                 # Mid-run samples virtually account parked kernels' pending

@@ -105,6 +105,12 @@ class Kernel:
         self._park_cycle = 0
         self._park_kind = 0
         self._wake_at = WAKE_NEVER
+        # The fast scheduler's handles for this kernel: its position in the
+        # engine's tick order and the engine's wake heap of
+        # ``(wake_cycle, index)`` entries.  Whoever lowers ``_wake_at`` on a
+        # parked kernel pushes a matching entry (see Engine._run_fast).
+        self._sched_index = 0
+        self._wake_heap: list[tuple[int, int]] = []
         # Self-scheduled wake-up for an idle park: a tick that returns
         # STALL_IDLE may first set ``_wake_hint`` to a future cycle at which
         # its state will change without any stream event (the open-loop host

@@ -11,6 +11,7 @@ skip buffer never creates delays by itself" (§III-B5).
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -130,6 +131,7 @@ class Stream:
             if reader is not None and reader._parked and reader._park_kind == 1:
                 if ready < reader._wake_at:
                     reader._wake_at = ready
+                    heappush(reader._wake_heap, (ready, reader._sched_index))
         return True
 
     def can_pop(self, cycle: int) -> bool:
@@ -160,13 +162,14 @@ class Stream:
             # Only a full->nonfull transition can unblock the writer.  Wake
             # at this very cycle: if the writer's slot in the engine sweep is
             # still ahead it reruns this cycle (non-topological order);
-            # otherwise the <= comparison lands it on the next cycle, which
-            # matches the exhaustive loop (the writer already ticked blocked
-            # this cycle before the pop).  (2 == STALL_BLOCKED.)
+            # otherwise the engine ticks it on the next cycle, which matches
+            # the exhaustive loop (the writer already ticked blocked this
+            # cycle before the pop).  (2 == STALL_BLOCKED.)
             writer = self.writer
             if writer is not None and writer._parked and writer._park_kind == 2:
                 if cycle < writer._wake_at:
                     writer._wake_at = cycle
+                    heappush(writer._wake_heap, (cycle, writer._sched_index))
         return value
 
     def head_ready_cycle(self) -> int | None:

@@ -24,6 +24,7 @@ at N requests/s?" by walking replica counts until the SLO holds.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
@@ -76,6 +77,8 @@ class ReplicaSpec:
             raise ValueError(f"unknown model family {self.family!r}")
         if self.size < 8:
             raise ValueError(f"input size must be >= 8, got {self.size!r}")
+        if not (math.isfinite(self.width) and self.width > 0):
+            raise ValueError(f"width must be a finite fraction > 0, got {self.width!r}")
 
     def graph(self) -> "LayerGraph":
         from ..models import direct_alexnet_graph, direct_resnet18_graph, direct_vgg_graph
@@ -175,8 +178,8 @@ class FleetConfig:
             raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
         if self.n_requests < 1:
             raise ValueError(f"need at least one request, got {self.n_requests!r}")
-        if self.rate_fps <= 0:
-            raise ValueError(f"rate must be > 0 FPS, got {self.rate_fps!r}")
+        if not (math.isfinite(self.rate_fps) and self.rate_fps > 0):
+            raise ValueError(f"rate must be a finite FPS > 0, got {self.rate_fps!r}")
         if self.policy == "static" and self.process != "poisson":
             raise ValueError(
                 "policy 'static' pre-partitions traffic into independent "

@@ -22,6 +22,7 @@ runs produce bit-identical percentiles — a CI-testable property.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
@@ -49,8 +50,8 @@ DEFAULT_FCLK_MHZ = 105.0
 
 def cycles_per_image(rate_fps: float, fclk_mhz: float = DEFAULT_FCLK_MHZ) -> float:
     """Mean inter-arrival gap in fabric cycles for a target FPS."""
-    if rate_fps <= 0:
-        raise ValueError(f"rate must be > 0 FPS, got {rate_fps!r}")
+    if not (math.isfinite(rate_fps) and rate_fps > 0):
+        raise ValueError(f"rate must be a finite FPS > 0, got {rate_fps!r}")
     return fclk_mhz * 1e6 / rate_fps
 
 

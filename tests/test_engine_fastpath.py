@@ -22,8 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataflow.engine import Engine
-from repro.dataflow.kernel import Kernel
-from repro.dataflow.manager import simulate
+from repro.dataflow.kernel import WAKE_NEVER, Kernel
+from repro.dataflow.leap import LeapController
+from repro.dataflow.manager import build_pipeline, simulate
 from repro.dataflow.stream import Stream
 from repro.dataflow.trace import Tracer
 from repro.nn import export_model
@@ -333,3 +334,161 @@ def test_run_rejects_non_positive_cycle_budget(max_cycles):
     engine = Engine("guard")
     with pytest.raises(ValueError, match="max_cycles must be a positive cycle budget"):
         engine.run(lambda: True, max_cycles=max_cycles)
+
+
+# -- tick order and the runnable set -------------------------------------
+#
+# The fast path keeps a runnable set instead of sweeping every kernel: the
+# kernels that did not park last cycle plus a heap of timed wakes.  These
+# tests pin what that set must preserve: any tick order (not just the
+# topological one the manager builds), the same-cycle pop-wake rule in
+# both directions, no visits to parked kernels, and a heap that follows a
+# leap jump's shift of every parked wake cycle.
+
+
+def _run_in_order(graph, images, order_seed: int | None, fast: bool, **kwargs):
+    """Build a pipeline, shuffle its tick order, run it traced."""
+    pipeline = build_pipeline(graph, images, **kwargs)
+    engine = pipeline.engine
+    if order_seed is not None:
+        np.random.default_rng(order_seed).shuffle(engine.kernels)
+    tracer = Tracer()
+    cycles = engine.run(lambda: pipeline.sink.done, fast=fast, trace=tracer)
+    kstats, sstats = engine.collect_stats()
+    return pipeline, cycles, kstats, sstats, tracer
+
+
+def _assert_order_runs_identical(graph, images, order_seed: int, **kwargs):
+    slow = _run_in_order(graph, images, order_seed, fast=False, **kwargs)
+    fast = _run_in_order(graph, images, order_seed, fast=True, **kwargs)
+    assert [k.name for k in fast[0].engine.kernels] == [k.name for k in slow[0].engine.kernels]
+    assert fast[1] == slow[1]
+    assert fast[0].sink.completion_cycles == slow[0].sink.completion_cycles
+    assert np.array_equal(fast[0].sink.output_tensor(), slow[0].sink.output_tensor())
+    for name, a in slow[2].items():
+        assert dataclasses.asdict(fast[2][name]) == dataclasses.asdict(a), f"kernel {name}"
+    for name, a in slow[3].items():
+        assert dataclasses.asdict(fast[3][name]) == dataclasses.asdict(a), f"stream {name}"
+    assert fast[4].state() == slow[4].state()
+    return fast[0]
+
+
+def _blocked_writer_directions(pipeline) -> set[str]:
+    """Tick-order directions of the edges whose writer ever blocked."""
+    position = {k.name: i for i, k in enumerate(pipeline.engine.kernels)}
+    directions = set()
+    for stream in pipeline.engine.streams:
+        writer, reader = stream.writer, stream.reader
+        if writer is None or reader is None or not writer.stats.output_blocked_cycles:
+            continue
+        ahead = position[writer.name] > position[reader.name]
+        directions.add("ahead" if ahead else "behind")
+    return directions
+
+
+@pytest.mark.parametrize("topology", ["chain", "resnet", "multi_dfe"])
+@pytest.mark.parametrize("order_seed", [0, 1])
+def test_shuffled_tick_order_matches_exhaustive(topology, order_seed):
+    """Any tick order: fast ≡ exhaustive on counts, stats and the event log.
+
+    A shuffled order has writers both ahead of and behind their readers,
+    so a pop frees a blocked writer whose sweep slot is still to come
+    (it reruns this cycle) as well as one whose slot has passed (it ticks
+    next cycle); the test requires both kinds of blocked writer to occur.
+    """
+    graph, kwargs = _case(topology)
+    pipeline = _assert_order_runs_identical(graph, _images(order_seed), order_seed, **kwargs)
+    assert _blocked_writer_directions(pipeline) == {"ahead", "behind"}
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    size=st.sampled_from([6, 8, 10]),
+    depth=st.integers(1, 3),
+    with_residual=st.booleans(),
+    order_seed=st.integers(0, 2**16),
+)
+def test_shuffled_tick_order_matches_exhaustive_random(
+    seed, size, depth, with_residual, order_seed
+):
+    graph = build_random_graph(seed, size, depth, with_residual)
+    rng = np.random.default_rng(seed + 1)
+    channels = graph.input_spec.channels
+    images = rng.integers(0, 4, size=(3, size, size, channels), dtype=np.int64)
+    _assert_order_runs_identical(graph, images, order_seed)
+
+
+def _count_ticks(engine: Engine) -> dict[str, int]:
+    """Wrap every kernel's tick: total calls, and calls that made progress."""
+    counts = {"calls": 0, "progress": 0}
+    for kernel in engine.kernels:
+        inner = kernel.tick
+
+        def tick(cycle: int, inner=inner) -> int | None:
+            status = inner(cycle)
+            counts["calls"] += 1
+            if status is None:
+                counts["progress"] += 1
+            return status
+
+        kernel.tick = tick
+    return counts
+
+
+def test_parked_kernels_are_not_ticked_open_loop():
+    """Images 10⁵ cycles apart: the idle gaps cost no ticks at all.
+
+    Nearly every kernel waits on nearly every cycle of this run; the fast
+    path ticks only kernels that made progress last cycle or whose wake
+    fell due, so its tick count stays within a small multiple of the
+    progress ticks, while matching the exhaustive loop exactly.
+    """
+    graph = export_model(make_tiny_chain_model(), (16, 16, 3), name="tiny-chain")
+    images = _images(3, n=3)
+    arrivals = [0, 100_000, 200_000]
+    slow = simulate(graph, images, fast=False, arrival_cycles=arrivals)
+    pipeline = build_pipeline(graph, images, arrival_cycles=arrivals)
+    counts = _count_ticks(pipeline.engine)
+    cycles = pipeline.engine.run(lambda: pipeline.sink.done, fast=True)
+    assert cycles == slow.cycles > 200_000
+    assert pipeline.sink.completion_cycles == slow.run.completion_cycles
+    kstats, sstats = pipeline.engine.collect_stats()
+    for name, a in slow.run.kernel_stats.items():
+        assert dataclasses.asdict(kstats[name]) == dataclasses.asdict(a), f"kernel {name}"
+    for name, a in slow.run.stream_stats.items():
+        assert dataclasses.asdict(sstats[name]) == dataclasses.asdict(a), f"stream {name}"
+    assert counts["progress"] > 0
+    assert counts["calls"] <= 2 * counts["progress"], counts
+    # The exhaustive loop ticks every kernel every cycle; here the whole
+    # run averages under one tick per cycle.
+    assert counts["calls"] < cycles
+
+
+def test_leap_jump_rebuilds_the_wake_heap(monkeypatch):
+    """Leap ≡ fast across jumps that land with timed wakes pending.
+
+    On a 2-DFE MaxRing partition, kernels downstream of the link sit
+    parked with a finite wake cycle (the link element's ready cycle) when
+    the controller jumps.  The jump shifts those wake cycles, so the wake
+    heap must be rebuilt; stale entries would leave them asleep.
+    """
+    graph, kwargs = _case("multi_dfe")
+    images = _images(4, n=6)
+    pending: list[str] = []
+    apply = LeapController._apply
+
+    def recording_apply(self, prev, cur, n, period):
+        pending.extend(
+            k.name for k in self._engine.kernels if k._parked and k._wake_at < WAKE_NEVER
+        )
+        apply(self, prev, cur, n, period)
+
+    t_fast, t_leap = Tracer(), Tracer()
+    fast = simulate(graph, images, mode="fast", trace=t_fast, **kwargs)
+    monkeypatch.setattr(LeapController, "_apply", recording_apply)
+    leap = simulate(graph, images, mode="leap", trace=t_leap, **kwargs)
+    assert leap.leap_report is not None and leap.leap_report.leaps >= 1
+    assert pending, "no kernel held a timed wake across a jump"
+    _assert_runs_identical(fast, leap)
+    assert t_leap.state() == t_fast.state()

@@ -134,6 +134,9 @@ class TestSpecs:
             ReplicaSpec("lenet", 16)
         with pytest.raises(ValueError):
             ReplicaSpec("vgg", 4)
+        for bad in (0.0, -0.5, float("nan")):
+            with pytest.raises(ValueError, match="width"):
+                ReplicaSpec("vgg", 16, width=bad)
         with pytest.raises(ValueError):
             parse_mix("vgg,,resnet18")
 
@@ -152,8 +155,9 @@ class TestSpecs:
             _config(policy="fifo")
         with pytest.raises(ValueError):
             _config(n_requests=0)
-        with pytest.raises(ValueError):
-            _config(rate_fps=0.0)
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite FPS"):
+                _config(rate_fps=bad)
         # static pre-partitions Poisson streams; fixed arrivals make no sense.
         with pytest.raises(ValueError):
             _config(policy="static", process="fixed")
@@ -330,3 +334,15 @@ class TestCli:
     def test_bad_mix_exits_cleanly(self, capsys):
         assert main(["fleet", "--mix", "lenet:28", "--rate", "1000", "--images", "2"]) == 2
         assert "lenet" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mix", ["vgg:9999", "alexnet:12", "vgg:16:nan"])
+    def test_mix_the_model_cannot_take_exits_2_with_one_line(self, mix, capsys):
+        assert main(["fleet", "--mix", mix, "--images", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"--mix {mix!r}" in err, err
+
+    @pytest.mark.parametrize("rate", ["0", "nan", "inf"])
+    def test_bad_rate_exits_2_with_one_line(self, rate, capsys):
+        assert main(["fleet", "--replicas", "1", "--rate", rate, "--images", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--rate" in err and rate in err, err

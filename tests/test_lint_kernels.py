@@ -302,6 +302,51 @@ class GoodKernel(Kernel):
         assert _codes(src, tmp_path) == []
 
 
+class TestSchedulerStateWrites:
+    def test_write_outside_allowed_places_flagged(self, tmp_path):
+        src = """
+def force_wake(kernel, cycle):
+    kernel._wake_at = cycle
+
+
+class EagerKernel(Kernel):
+    def tick(self, cycle):
+        self._parked, self._park_kind = False, 0
+        return None
+"""
+        assert _codes(src, tmp_path) == ["KC006", "KC006", "KC006"]
+
+    def test_allowed_writers_and_reads_pass(self, tmp_path):
+        module = tmp_path / "repro" / "dataflow"
+        module.mkdir(parents=True)
+        src = """
+class Kernel:
+    def __init__(self, name):
+        self._parked = False
+        self._wake_at = 1 << 62
+
+    def reset(self):
+        self._park_cycle = 0
+
+    def tick(self, cycle):
+        if self._parked and self._wake_at > cycle:
+            return None
+        self._wake_hint = cycle + 1
+        return None
+"""
+        path = module / "kernel.py"
+        path.write_text(src)
+        assert [v.code for v in lint_kernels.lint_file(path)] == []
+        # The same writes from a method the allow-list does not name are flagged.
+        path.write_text(src + "\n    def rewind(self):\n        self._wake_at = 0\n")
+        assert [v.code for v in lint_kernels.lint_file(path)] == ["KC006"]
+
+    def test_default_run_covers_the_whole_package(self):
+        assert "src/repro" in lint_kernels.KC006_PATHS
+        violations = lint_kernels.lint_repo()
+        assert violations == [], [v.render() for v in violations]
+
+
 class TestSelectFlag:
     def test_select_filters_codes(self, tmp_path, capsys):
         src = """

@@ -33,8 +33,9 @@ class TestSchedules:
     def test_cycles_per_image(self):
         assert cycles_per_image(105e6, fclk_mhz=105.0) == 1.0
         assert cycles_per_image(1000.0, fclk_mhz=105.0) == 105_000.0
-        with pytest.raises(ValueError):
-            cycles_per_image(0.0)
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite FPS"):
+                cycles_per_image(bad)
 
     def test_fixed_rate_is_a_metronome(self):
         sched = fixed_rate_schedule(4, 1000.0, fclk_mhz=105.0)
@@ -160,6 +161,17 @@ class TestCli:
     def test_load_requires_a_rate(self, capsys):
         assert main(["load", "--images", "2"]) == 2
         assert "--rate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rate", ["0", "-5", "nan", "inf"])
+    def test_bad_rate_exits_2_with_one_line(self, rate, capsys):
+        assert main(["load", "--rate", rate, "--images", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--rate" in err and rate in err, err
+
+    def test_bad_sweep_rate_exits_2_with_one_line(self, capsys):
+        assert main(["load", "--sweep", "1000", "nan", "--images", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--sweep" in err and "nan" in err, err
 
     def test_slo_gate_exit_codes(self, capsys):
         ok = main(["load", "--rate", "2000", "--images", "3", "--slo-p99-cycles", "100000"])

@@ -30,10 +30,18 @@ KC005  A kernel's slots-dataclass state (its ``stats`` record, or any
        called from them.  Mutation from anywhere else — a property, a
        reporting accessor, ``render()`` — means *observing* a kernel
        changes its counters, desynchronizing fast and exhaustive runs.
+KC006  The fast scheduler's per-kernel state (``_parked``, ``_wake_at``,
+       ``_park_cycle``, ``_park_kind``, ``_sched_index``, ``_wake_heap``)
+       is assigned only by the engine, the ``Stream.push``/``pop`` wake
+       hooks, the leap controller's jump (``LeapController._apply``) and
+       ``Kernel.__init__``/``reset``.  The engine's wake heap mirrors every
+       lowering of ``_wake_at``; a write from anywhere else bypasses it and
+       silently drops a wake.  This rule checks the whole package.
 
 Usage: ``python tools/lint_kernels.py [--select KC001,KC005] [paths...]``
-(default paths: the kernel and hot-path dataflow/fleet/planner modules).
-Exits 1 when any violation is found.  Wired into CI next to ruff.
+(default: KC001-KC005 on the kernel and hot-path dataflow/fleet/planner
+modules, KC006 on all of ``src/repro``).  Exits 1 when any violation is
+found.  Wired into CI next to ruff.
 """
 
 from __future__ import annotations
@@ -53,6 +61,9 @@ DEFAULT_PATHS = [
     "src/repro/fleet",
     "src/repro/planner",
 ]
+
+# KC006 guards state any module could write, so it scans the whole package.
+KC006_PATHS = ["src/repro"]
 
 # Base-class names that mark a class as a streaming kernel.
 KERNEL_BASES = {"Kernel"}
@@ -80,6 +91,25 @@ KC005_ROOTS = {"tick", "batch_compute"}
 KNOWN_SLOTS_STATE = {"stats"}
 # Constructors may initialize state fields before the engine ever runs.
 KC005_EXEMPT = {"__init__", "__post_init__", "reset"}
+
+
+# KC006: the fast scheduler's per-kernel fields, and the only places allowed
+# to assign them: module path suffix -> enclosing function qualnames (None
+# allows the whole module).
+SCHEDULER_FIELDS = {
+    "_parked",
+    "_wake_at",
+    "_park_cycle",
+    "_park_kind",
+    "_sched_index",
+    "_wake_heap",
+}
+SCHEDULER_WRITERS: dict[str, set[str] | None] = {
+    "repro/dataflow/engine.py": None,
+    "repro/dataflow/stream.py": {"Stream.push", "Stream.pop"},
+    "repro/dataflow/leap.py": {"LeapController._apply"},
+    "repro/dataflow/kernel.py": {"Kernel.__init__", "Kernel.reset"},
+}
 
 
 class Violation:
@@ -435,6 +465,63 @@ def _check_state_mutation_scope(
                     )
 
 
+def _assign_targets(node: ast.AST) -> list[ast.expr]:
+    """Every target an assignment statement writes, tuples unpacked."""
+    if isinstance(node, ast.Assign):
+        targets = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return []
+    flat: list[ast.expr] = []
+    while targets:
+        target = targets.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            targets.extend(target.elts)
+        elif isinstance(target, ast.Starred):
+            targets.append(target.value)
+        else:
+            flat.append(target)
+    return flat
+
+
+def _check_scheduler_state_writes(path: Path, tree: ast.Module, out: list[Violation]) -> None:
+    """KC006: scheduler fields are assigned only where the wake heap follows."""
+    posix = path.as_posix()
+    allowed: set[str] | None = set()
+    for suffix, writers in SCHEDULER_WRITERS.items():
+        if posix.endswith("/" + suffix):
+            allowed = writers
+            break
+    if allowed is None:
+        return
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            for target in _assign_targets(child):
+                if (
+                    isinstance(target, ast.Attribute)
+                    and target.attr in SCHEDULER_FIELDS
+                    and scope not in allowed
+                ):
+                    out.append(
+                        Violation(
+                            path,
+                            child.lineno,
+                            "KC006",
+                            f"{scope or 'module level'} assigns scheduler state "
+                            f".{target.attr}; only the engine, the stream wake hooks, "
+                            "the leap jump and Kernel.__init__/reset may",
+                        )
+                    )
+            visit(child, scope)
+
+    visit(tree, "")
+
+
 def lint_file(path: Path) -> list[Violation]:
     try:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -448,6 +535,7 @@ def lint_file(path: Path) -> list[Violation]:
         _check_float_free_tick(path, cls, out)
         _check_state_mutation_scope(path, cls, slots_classes, out)
     _check_slots_dataclasses(path, tree, out)
+    _check_scheduler_state_writes(path, tree, out)
     out.sort(key=lambda v: (str(v.path), v.line, v.code))
     return out
 
@@ -468,13 +556,22 @@ def lint_paths(paths: list[str]) -> list[Violation]:
     return out
 
 
+def lint_repo() -> list[Violation]:
+    """The default run: KC001-KC005 on the hot-path modules, KC006 package-wide."""
+    out = [v for v in lint_paths(DEFAULT_PATHS) if v.code != "KC006"]
+    out.extend(v for v in lint_paths(KC006_PATHS) if v.code == "KC006")
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "paths",
         nargs="*",
-        default=DEFAULT_PATHS,
-        help=f"files or directories to lint (default: {' '.join(DEFAULT_PATHS)})",
+        help=(
+            f"files or directories to lint (default: {' '.join(DEFAULT_PATHS)}, "
+            f"plus {' '.join(KC006_PATHS)} for KC006)"
+        ),
     )
     parser.add_argument(
         "--select",
@@ -483,7 +580,7 @@ def main(argv: list[str] | None = None) -> int:
         help="comma-separated violation codes to report (e.g. KC001,KC005); default: all",
     )
     args = parser.parse_args(argv)
-    violations = lint_paths(list(args.paths))
+    violations = lint_paths(args.paths) if args.paths else lint_repo()
     if args.select:
         wanted = {code.strip().upper() for code in args.select.split(",") if code.strip()}
         violations = [v for v in violations if v.code in wanted]
@@ -492,7 +589,7 @@ def main(argv: list[str] | None = None) -> int:
     if violations:
         print(f"{len(violations)} kernel-contract violation(s)", file=sys.stderr)
         return 1
-    print(f"kernel-contract lint clean ({len(list(args.paths))} path(s))")
+    print(f"kernel-contract lint clean ({len(args.paths or DEFAULT_PATHS)} path(s))")
     return 0
 
 
