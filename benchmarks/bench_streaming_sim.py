@@ -366,7 +366,7 @@ def test_streaming_plan_search(benchmark):
 
     Times the whole ``plan_partition`` path — DP cut search, static
     feasibility re-scoring, resource ledgers, and the winner's exact
-    zero-batch replay — on a fresh graph each round (the replay cache
+    timing-only replay — on a fresh graph each round (the timing cache
     lives on the graph, so reusing one would time a dict lookup).  The
     recorded rate is replay-cycles per wall second, same currency as the
     simulator cases, guarded against its own trajectory.

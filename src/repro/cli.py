@@ -71,6 +71,31 @@ import numpy as np
 __all__ = ["main"]
 
 
+def _out_taken(args: argparse.Namespace) -> bool:
+    """The shared ``--out``/``--force`` guard, checked before any work.
+
+    True (after one line on stderr) when ``--out`` names an existing file
+    and ``--force`` is absent.
+    """
+    from .telemetry.exporters import refuse_overwrite
+
+    if not args.out:
+        return False
+    try:
+        refuse_overwrite(args.out, args.force)
+    except FileExistsError as exc:
+        print(exc, file=sys.stderr)
+        return True
+    return False
+
+
+def _write_out(args: argparse.Namespace, text: str) -> None:
+    """Write ``text`` (newline-terminated) to ``--out`` through the one writer."""
+    from .telemetry.exporters import write_text_file
+
+    write_text_file(args.out, text if text.endswith("\n") else text + "\n", force=args.force)
+
+
 def _cmd_list(_args: argparse.Namespace) -> int:
     from .eval import EXPERIMENTS
 
@@ -115,6 +140,8 @@ def _tiny_vgg(args: argparse.Namespace):
     size = args.size
     if size % 8:
         raise ValueError(f"size must be divisible by 8, got {size}")
+    if args.images < 1:
+        raise ValueError(f"--images must be >= 1, got {args.images}")
     graph = direct_vgg_graph(size, width=0.0625, classes=4)
     rng = np.random.default_rng(args.seed)
     images = rng.integers(0, 4, size=(args.images, size, size, 3))
@@ -213,8 +240,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from .dataflow import Tracer, simulate
     from .dataflow.tracing import analyze_trace, render_waterfall
 
@@ -223,8 +248,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    if Path(args.out).exists() and not args.force:
-        print(f"{args.out} exists; pass --force to overwrite", file=sys.stderr)
+    if _out_taken(args):
         return 2
     tracer = Tracer()
     run = simulate(graph, images, fast=not args.exhaustive, trace=tracer)
@@ -264,7 +288,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 def _cmd_load(args: argparse.Namespace) -> int:
     import json
-    from pathlib import Path
 
     from .telemetry.loadgen import run_load, sweep
 
@@ -273,8 +296,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    if args.out and Path(args.out).exists() and not args.force:
-        print(f"{args.out} exists; pass --force to overwrite", file=sys.stderr)
+    if _out_taken(args):
         return 2
 
     if args.sweep:
@@ -289,7 +311,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
         )
         text = json.dumps(payload, indent=2)
         if args.out:
-            Path(args.out).write_text(text + "\n")
+            _write_out(args, text)
             print(f"wrote {len(payload['points'])}-point latency-throughput sweep to {args.out}")
         else:
             print(text)
@@ -310,7 +332,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
     if args.json:
         text = json.dumps(result.as_dict(), indent=2)
         if args.out:
-            Path(args.out).write_text(text + "\n")
+            _write_out(args, text)
             print(f"wrote load result to {args.out}")
         else:
             print(text)
@@ -331,7 +353,6 @@ def _cmd_load(args: argparse.Namespace) -> int:
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
     import json
-    from pathlib import Path
 
     from .fleet import (
         FleetConfig,
@@ -359,14 +380,13 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         )
         print(f"repro fleet: bad {given}: {exc}", file=sys.stderr)
         return 2
-    if args.out and Path(args.out).exists() and not args.force:
-        print(f"{args.out} exists; pass --force to overwrite", file=sys.stderr)
+    if _out_taken(args):
         return 2
 
     def emit(payload: dict, what: str) -> None:
         text = json.dumps(payload, indent=2)
         if args.out:
-            Path(args.out).write_text(text + "\n")
+            _write_out(args, text)
             print(f"wrote {what} to {args.out}")
         else:
             print(text)
@@ -551,13 +571,11 @@ def _parse_topology(spec: str) -> tuple[str, int | None, float | None]:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     import json
-    from pathlib import Path
 
     from .dataflow.verify import verify
 
     specs = args.topologies or DEFAULT_CHECK_TOPOLOGIES
-    if args.out and Path(args.out).exists() and not args.force:
-        print(f"{args.out} exists; pass --force to overwrite", file=sys.stderr)
+    if _out_taken(args):
         return 2
     n_errors = n_warnings = 0
     reports = []
@@ -599,7 +617,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         payload = {"schema": "repro-check/1", "reports": reports}
         text = json.dumps(payload, indent=2)
         if args.out:
-            Path(args.out).write_text(text + "\n")
+            _write_out(args, text)
             print(f"wrote {len(reports)} check report(s) to {args.out}")
         else:
             print(text)
@@ -610,18 +628,22 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     import json
-    from pathlib import Path
 
     from .planner import PlanError, neighbor_partitions, plan_partition
 
+    if args.dfes is not None and args.dfes < 1:
+        print(f"plan {args.topology}: --dfes must be >= 1, got {args.dfes}", file=sys.stderr)
+        return 2
+    if args.objective == "min-latency" and args.dfes is None:
+        print(f"plan {args.topology}: --objective min-latency needs --dfes N", file=sys.stderr)
+        return 2
     name, size, width = _parse_topology(args.topology)
     try:
         graph = _check_graph(name, size, width)
     except ValueError as exc:
         print(f"plan {args.topology}: {exc}", file=sys.stderr)
         return 2
-    if args.out and Path(args.out).exists() and not args.force:
-        print(f"{args.out} exists; pass --force to overwrite", file=sys.stderr)
+    if _out_taken(args):
         return 2
     if args.device == "stratix10":
         from .hardware.device import STRATIX_10_PROJECTION as device
@@ -716,7 +738,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     if args.json or args.out:
         text = json.dumps(plan.as_dict(), indent=2)
         if args.out:
-            Path(args.out).write_text(text + "\n")
+            _write_out(args, text)
             print(f"wrote plan to {args.out}")
         else:
             print(text)
@@ -754,8 +776,7 @@ def _cmd_perf_report(args: argparse.Namespace) -> int:
         return 2
     for problem in validate_trajectory(entries):
         print(f"perf report: warning: {problem}", file=sys.stderr)
-    if args.out and Path(args.out).exists() and not args.force:
-        print(f"{args.out} exists; pass --force to overwrite", file=sys.stderr)
+    if _out_taken(args):
         return 2
 
     if args.json:
@@ -767,7 +788,7 @@ def _cmd_perf_report(args: argparse.Namespace) -> int:
     else:
         text = render_table(entries)
     if args.out:
-        Path(args.out).write_text(text if text.endswith("\n") else text + "\n")
+        _write_out(args, text)
         print(f"wrote perf trajectory report to {args.out}")
     else:
         print(text)
@@ -814,13 +835,12 @@ def _cmd_perf_diff(args: argparse.Namespace) -> int:
         print(f"perf diff: {exc}", file=sys.stderr)
         return 2
 
-    if args.out and Path(args.out).exists() and not args.force:
-        print(f"{args.out} exists; pass --force to overwrite", file=sys.stderr)
+    if _out_taken(args):
         return 2
     if args.json or args.out:
         text = json.dumps(result.as_dict(), indent=2)
         if args.out:
-            Path(args.out).write_text(text + "\n")
+            _write_out(args, text)
             print(f"wrote perf diff to {args.out}")
         else:
             print(text)

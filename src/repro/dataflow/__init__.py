@@ -10,8 +10,10 @@ from .manager import (
     LinkCrossing,
     Pipeline,
     StreamingRun,
+    TimingRun,
     build_pipeline,
     simulate,
+    timing_run,
 )
 from .stream import Stream, StreamStats
 from .trace import (
@@ -60,6 +62,8 @@ __all__ = [
     "StreamingRun",
     "build_pipeline",
     "simulate",
+    "timing_run",
+    "TimingRun",
     "Diagnostic",
     "VerifyReport",
     "check_skip_high_water",

@@ -81,10 +81,15 @@ class RunResult:
 class Engine:
     """A single simulated DFE (or a chain of them when links have latency)."""
 
-    def __init__(self, name: str = "dfe") -> None:
+    def __init__(self, name: str = "dfe", payload: bool = True) -> None:
         self.name = name
         self.kernels: list[Kernel] = []
         self.streams: list[Stream] = []
+        # Carry element values on every run, not only on the exhaustive
+        # reference loop (see run).  A hand-built engine must: its values
+        # exist nowhere else.  build_pipeline turns it off, since its sink
+        # serves the outputs from a vectorized pass.
+        self.payload = payload
         # Active tracer for the current run (None = tracing off).  Held on
         # the engine so the bulk stall accounting can synthesize the spans
         # the fast path never ticked.
@@ -134,6 +139,13 @@ class Engine:
         wake, never backwards.  ``fast=False`` keeps the original
         tick-everything loop as the executable reference semantics.
 
+        Runs are timing-only unless ``fast=False``, the engine carries
+        payload (the default outside :func:`build_pipeline`), or some
+        kernel's class does not declare value-independent timing
+        (:attr:`Kernel.supports_leap`): then every kernel carries and
+        computes element values.  The schedule, every counter and every
+        trace event are the same either way.
+
         ``trace`` accepts a fresh :class:`~repro.dataflow.trace.Tracer`;
         the engine installs its hooks on every kernel and stream for the
         duration of the run, so the tracer sees every tick classification,
@@ -170,6 +182,9 @@ class Engine:
                     "pass fast=True (or drop the controller)"
                 )
             trace = leap.begin_run(max_cycles, trace)
+        payload = self.payload or not fast or not all(type(k).supports_leap for k in self.kernels)
+        for kernel in self.kernels:
+            kernel.payload = payload
         if trace is not None:
             trace.attach(self)
         if telemetry is not None:
@@ -195,32 +210,15 @@ class Engine:
     def _run_exhaustive(self, done: Callable[[], bool], max_cycles: int) -> int:
         """The reference loop: every kernel ticks every cycle."""
         tracer = self._tracer
-        if tracer is not None:
-            return self._run_exhaustive_traced(done, max_cycles, tracer)
+        on_tick = tracer.on_tick if tracer is not None else None
         telemetry = self._telemetry
         cycle = 0
         kernels = self.kernels
         while not done():
             for kernel in kernels:
-                kernel.tick(cycle)
-            cycle += 1
-            if telemetry is not None and cycle >= telemetry.next_sample_at:
-                telemetry.sample(cycle)
-            if cycle >= max_cycles:
-                raise self._no_convergence(max_cycles)
-        return cycle
-
-    def _run_exhaustive_traced(
-        self, done: Callable[[], bool], max_cycles: int, tracer: Tracer
-    ) -> int:
-        """The reference loop with every tick classification recorded."""
-        telemetry = self._telemetry
-        cycle = 0
-        kernels = self.kernels
-        on_tick = tracer.on_tick
-        while not done():
-            for kernel in kernels:
-                on_tick(kernel.name, cycle, kernel.tick(cycle))
+                status = kernel.tick(cycle)
+                if on_tick is not None:
+                    on_tick(kernel.name, cycle, status)
             cycle += 1
             if telemetry is not None and cycle >= telemetry.next_sample_at:
                 telemetry.sample(cycle)
@@ -353,7 +351,7 @@ class Engine:
                         for stream in kernel.inputs:
                             fifo = stream._fifo
                             if fifo:
-                                ready = fifo[0][1]
+                                ready = fifo[0]
                                 if cycle < ready < wake:
                                     wake = ready
                     elif status == STALL_BLOCKED:

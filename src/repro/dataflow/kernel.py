@@ -68,15 +68,26 @@ class Kernel:
     # scheduler replays those rejections for parked cycles.
     blocked_rejects_output: ClassVar[bool] = False
 
-    # -- leap-mode contract (see dataflow/leap.py) ----------------------
+    # -- value-independence / leap-mode contract (see dataflow/leap.py) --
     # A kernel that opts in guarantees its *control flow* never branches on
-    # stream element values (only on counts, positions and stream state), and
-    # exposes that control state through leap_phase().  The leap scheduler
-    # refuses to fast-forward an engine containing any kernel that has not
-    # opted in — unknown kernels degrade to the plain fast path, mirroring
-    # the park/wake scheduler's own "no classification, no parking" rule.
-    # Declared as a plain class attribute (not ClassVar) so instances may
-    # veto support at construction time (the open-loop host source does).
+    # stream element values (only on counts, positions and stream state),
+    # and exposes that control state through leap_phase().  It implements
+    # both halves of its tick: with ``payload`` false it moves payload-free
+    # tokens (Stream.push_token/pop_token) and keeps only control state;
+    # with ``payload`` true it also computes and carries element values
+    # (Stream.push/pop).  Engine.run picks the mode for the whole engine
+    # before each run: timing-only unless the run is exhaustive, the engine
+    # asks for payload, or any kernel's class has not opted in — such a
+    # kernel may branch on what it pops, so it must see real values.
+    # Timing-only runs get their output values from one vectorized pass
+    # afterwards (leap.batch_reference_outputs).  The leap scheduler
+    # likewise refuses to fast-forward an engine containing any kernel that
+    # has not opted in — unknown kernels degrade to the plain fast path,
+    # mirroring the park/wake scheduler's own "no classification, no
+    # parking" rule.  Declared as a plain class attribute (not ClassVar) so
+    # instances may veto leaping at construction time (the open-loop host
+    # source does: its timing follows the absolute arrival clock, which a
+    # leap would skip); the class declaration alone decides the value split.
     supports_leap: bool = False
     # Attribute names extrapolated linearly across a leap: monotone
     # per-period accumulators beyond KernelStats (e.g. ``images_done``,
@@ -86,17 +97,14 @@ class Kernel:
     # steady-state period and are replayed shifted by the period (e.g. the
     # source's admission_cycles, the sink's completion_cycles).
     leap_cycle_lists: ClassVar[tuple[str, ...]] = ()
-    # Attribute names holding per-element *value* lists that grow once per
-    # period; a leap replicates the window's slice unshifted (the values are
-    # placeholders — leap-mode outputs come from the batched functional
-    # path, see leap.batch_reference_outputs).
-    leap_value_lists: ClassVar[tuple[str, ...]] = ()
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.inputs: list[Stream] = []
         self.outputs: list[Stream] = []
         self.stats = KernelStats()
+        # Whether this run carries element values (set by Engine.run).
+        self.payload = True
         # Fast-scheduler park bookkeeping.  A tick reports its stall kind by
         # returning one of the STALL_* codes (via the helpers below); a tick
         # returning None made progress or gave no classification — such

@@ -27,10 +27,11 @@ Why this is exact and not an approximation:
   the host source runs dry, and the window budget keeps the source wet
   through every leaped period.
 * **Values come from the functional path.**  Leaped windows never compute
-  element values; :func:`batch_reference_outputs` recomputes every output
-  through the kernels' vectorized ``batch_compute`` methods (exact integer
-  arithmetic in float64, far below 2**53), which is bit-identical to the
-  streaming datapath — a tested property.
+  element values (timing-only runs carry none at all); the sink serves
+  every output from :func:`batch_reference_outputs`, the kernels'
+  vectorized ``batch_compute`` methods (exact integer arithmetic in
+  float64, far below 2**53), which is bit-identical to the streaming
+  datapath — a tested property.
 
 Anything that breaks the contract — an open-loop arrival schedule, a
 custom kernel that never opted in, a phase mismatch, a non-linear counter
@@ -361,16 +362,14 @@ class LeapController:
                 )
             )
             counters.append(tuple(int(getattr(k, a)) for a in k.leap_counters))
-            list_lens.append(
-                tuple(len(getattr(k, a)) for a in (*k.leap_cycle_lists, *k.leap_value_lists))
-            )
+            list_lens.append(tuple(len(getattr(k, a)) for a in k.leap_cycle_lists))
         sstats: list[tuple[int, int, int]] = []
         mark_lens: list[int] = []
         for s in self._engine.streams:
             fifo = s._fifo
             tail: list[int] = []
             for i in range(len(fifo) - 1, -1, -1):
-                ready = fifo[i][1]
+                ready = fifo[i]
                 if ready <= cycle:
                     break  # ready cycles are monotone: the rest is visible
                 tail.append(ready - cycle)
@@ -466,23 +465,15 @@ class LeapController:
                 st.last_active_cycle = la + shift_total
             for name, pv, cv in zip(k.leap_counters, prev.counters[idx], cur.counters[idx]):
                 setattr(k, name, cv + n * (cv - pv))
-            names = (*k.leap_cycle_lists, *k.leap_value_lists)
-            n_cycle_lists = len(k.leap_cycle_lists)
-            for li, name in enumerate(names):
+            for li, name in enumerate(k.leap_cycle_lists):
                 d = cur.list_lens[idx][li] - prev.list_lens[idx][li]
                 if not d:
                     continue
-                lst: list[Any] = getattr(k, name)
+                lst: list[int] = getattr(k, name)
                 window = lst[len(lst) - d :]
-                if li < n_cycle_lists:
-                    for j in range(1, n + 1):
-                        s = j * period
-                        lst.extend(v + s for v in window)
-                else:
-                    # Placeholder values: leap-mode outputs come from
-                    # batch_reference_outputs, not the streamed elements.
-                    for _ in range(n):
-                        lst.extend(window)
+                for j in range(1, n + 1):
+                    s = j * period
+                    lst.extend(v + s for v in window)
             if k._parked:
                 k._park_cycle += shift_total
                 if k._wake_at < WAKE_NEVER:
@@ -526,10 +517,10 @@ class LeapController:
         # the clock; ready cycles are monotone so only the tail shifts.
         fifo = stream._fifo
         for i in range(len(fifo) - 1, -1, -1):
-            value, ready = fifo[i]
+            ready = fifo[i]
             if ready <= cycle:
                 break
-            fifo[i] = (value, ready + shift_total)
+            fifo[i] = ready + shift_total
 
 
 def batch_reference_outputs(pipeline: Pipeline, images: np.ndarray) -> np.ndarray:
@@ -538,13 +529,30 @@ def batch_reference_outputs(pipeline: Pipeline, images: np.ndarray) -> np.ndarra
     Walks the IR graph topologically, feeding each kernel's
     ``batch_compute`` the (port-ordered) parent tensors.  Bit-identical to
     both the streamed outputs and :func:`repro.nn.inference.run_graph`
-    (tested properties); the leap scheduler substitutes this for the
-    element streams it never simulated.
+    (tested properties); every run that did not stream all its values — a
+    timing-only run, or a leap over payload windows — takes its outputs
+    from here.  The pass over the pipeline's own image batch (the source's
+    array, or an equal one) runs at most once per pipeline: later calls
+    (``sink.output_tensor()`` included) return the memoized result, which
+    is read-only because every caller shares it.  The memo reflects the
+    batch when it was first computed — a pipeline's images are not meant
+    to change after it is built.  Any other batch is computed afresh.
     """
-    graph = pipeline.graph
     images = np.asarray(images)
     if images.ndim == 3:
         images = images[None]
+    own = pipeline.source.images
+    if images is own or (images.shape == own.shape and np.array_equal(images, own)):
+        if pipeline.outputs is None:
+            outputs = _value_pass(pipeline, own)
+            outputs.setflags(write=False)
+            pipeline.outputs = outputs
+        return pipeline.outputs
+    return _value_pass(pipeline, images)
+
+
+def _value_pass(pipeline: Pipeline, images: np.ndarray) -> np.ndarray:
+    graph = pipeline.graph
     values: dict[str, np.ndarray] = {graph.input_name: images.astype(np.int64)}
     for name in graph.topological():
         if name == graph.input_name:

@@ -37,6 +37,7 @@ from ..nn.graph import (
     ThresholdNode,
 )
 from .engine import Engine, RunResult
+from .interval import mean_completion_interval
 from .kernel import Kernel
 from .leap import LeapController, LeapReport, batch_reference_outputs
 from .links import MAXRING, PCIE_GEN2_X8, LinkSpec, required_bandwidth_mbps
@@ -46,13 +47,15 @@ from .trace import Tracer
 if TYPE_CHECKING:
     from ..telemetry.collector import Telemetry
 
-__all__ = ["build_pipeline", "simulate", "StreamingRun", "LinkCrossing", "Pipeline"]
+__all__ = [
+    "build_pipeline", "simulate", "timing_run", "StreamingRun", "TimingRun", "LinkCrossing", "Pipeline"
+]
 
 DEFAULT_STREAM_CAPACITY = 4
 
 # Skip-path delay buffers get their *exact* §III-B5 size from the static
-# verifier (`skip_sizing="exact"`, the default): the solver replays the
-# value-independent schedule on a zero batch and reads the high-water mark.
+# verifier (`skip_sizing="exact"`, the default): the solver's timing-only run
+# of the value-independent schedule reads the high-water mark.
 # The engine's measured high-water is asserted back against that static
 # prediction after every run (see verify.check_skip_high_water), turning the
 # paper's "never creates delays by itself" claim into a round-trip check.
@@ -92,6 +95,9 @@ class Pipeline:
     fclk_mhz: float = 105.0
     skip_sizing: str = "exact"  # "exact" | "bound" | "replay" | "custom"
     skip_capacities: dict[str, int] = field(default_factory=dict)
+    # The memoized value pass over this pipeline's own images (see
+    # leap.batch_reference_outputs); None until first asked for.
+    outputs: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -186,6 +192,11 @@ def build_pipeline(
 ) -> Pipeline:
     """Instantiate kernels and streams for ``graph``.
 
+    The pipeline is timing-only: its fast and leap runs move payload-free
+    tokens, and ``sink.output_tensor()`` serves the values from one
+    memoized vectorized pass.  ``use_bitops`` pipelines, like every
+    exhaustive run, carry and compute element values instead.
+
     Parameters
     ----------
     graph:
@@ -237,7 +248,7 @@ def build_pipeline(
     # is accounted by the timing model, not as a MaxRing crossing.
     dfe_of_node["host_sink"] = dfe_of_node.get(graph.output_name, 0)
 
-    engine = Engine(graph.name)
+    engine = Engine(graph.name, payload=use_bitops)
     source = HostSource("host_source", images, graph.input_spec, arrival_cycles=arrival_cycles)
     sink = HostSink("host_sink", graph.output_spec, images.shape[0])
 
@@ -297,7 +308,7 @@ def build_pipeline(
             from_node = stream.name.split("->", 1)[0]
             stream.mark_every = graph.specs[from_node].elements
 
-    return Pipeline(
+    pipeline = Pipeline(
         engine=engine,
         graph=graph,
         source=source,
@@ -312,6 +323,8 @@ def build_pipeline(
         skip_sizing=skip_mode,
         skip_capacities=dict(skip_caps),
     )
+    sink.value_pass = lambda: batch_reference_outputs(pipeline, images)
+    return pipeline
 
 
 def _make_stream(
@@ -411,7 +424,11 @@ def simulate(
     :func:`repro.nn.inference.run_graph` (tested property).  ``fast``
     selects the event-driven scheduler (default) or the exhaustive
     tick-everything reference loop; both produce identical results and
-    statistics (tested property).  Passing a fresh
+    statistics (tested property).  The exhaustive loop (and any
+    ``use_bitops`` run) streams element values through the kernels; the
+    fast and leap schedulers run timing-only and take the outputs from
+    one vectorized pass (:func:`~repro.dataflow.leap.batch_reference_outputs`).
+    Passing a fresh
     :class:`~repro.dataflow.trace.Tracer` as ``trace`` records the run's
     full cycle-exact event log (identical for both schedulers) for
     Perfetto export and occupancy analysis.  Passing a fresh
@@ -429,8 +446,7 @@ def simulate(
     or ``"leap"`` — and overrides the legacy ``fast`` flag.  ``"leap"``
     runs the fast scheduler plus the steady-state leap controller
     (:mod:`repro.dataflow.leap`): once the pipeline's period is proven,
-    whole periods are skipped and their outputs recomputed through the
-    kernels' batched functional paths.  Results (cycles, outputs, stats,
+    whole periods are skipped.  Results (cycles, outputs, stats,
     traces, per-image instants) are bit-identical across all three modes;
     pipelines outside the leap contract (open-loop arrivals, custom
     kernels) degrade to the fast path with
@@ -484,11 +500,6 @@ def simulate(
     kstats, sstats = pipeline.engine.collect_stats()
     leap_report = controller.report if controller is not None else demoted_report
     output = pipeline.sink.output_tensor()
-    if leap_report is not None and leap_report.windows > 0:
-        # Leaped windows streamed placeholder values through the sink; the
-        # batched functional path recomputes every image exactly (it is
-        # bit-identical to the streaming datapath — tested property).
-        output = batch_reference_outputs(pipeline, images)
     run = RunResult(
         cycles=cycles,
         completion_cycles=pipeline.sink.completion_cycles,
@@ -500,3 +511,80 @@ def simulate(
     return StreamingRun(
         output=output, cycles=cycles, run=run, pipeline=pipeline, leap_report=leap_report
     )
+
+
+@dataclass(frozen=True)
+class TimingRun:
+    """The value-independent schedule of one graph configuration.
+
+    Kernel timing depends only on tensor geometry, never on element values,
+    so one timing-only run on any image batch of the right shape gives the
+    schedule every real run of that configuration walks.
+    """
+
+    cycles: int
+    completion_cycles: tuple[int, ...]
+    # Per residual adder: the high-water mark of its skip delay stream.
+    skip_high_water: dict[str, int]
+    # (label, mean cycles) of each per-partition latency segment.
+    segments: tuple[tuple[str, float], ...]
+
+    @property
+    def latency_cycles(self) -> int:
+        return self.completion_cycles[0]
+
+    @property
+    def interval(self) -> float | None:
+        return mean_completion_interval(self.completion_cycles)
+
+
+def timing_run(
+    graph: LayerGraph,
+    n_images: int,
+    *,
+    partition: list[list[str]] | None = None,
+    link: LinkSpec = MAXRING,
+    fclk_mhz: float = 105.0,
+    skip_sizing: str = "exact",
+    max_cycles: int = 500_000_000,
+) -> TimingRun:
+    """One closed-loop timing-only run of ``n_images`` zero images, cached per graph.
+
+    The primitive behind every static answer that needs the exact
+    schedule: the §III-B5 skip solver (``skip_sizing="replay"``, unbounded
+    skip FIFOs whose high-water marks it reads), the planner's exact plan
+    timing and the fleet's replica profiles.  Images are admitted
+    back-to-back and the run uses the leap scheduler.  Results are cached
+    on the graph instance (``graph.timing_runs``) per (sizing, partition,
+    link, f_clk, images); a new graph instance starts with an empty cache.
+    """
+    groups = None if partition is None else tuple(tuple(group) for group in partition)
+    key = (skip_sizing, groups, link, float(fclk_mhz), n_images)
+    hit: TimingRun | None = graph.timing_runs.get(key)
+    if hit is not None:
+        return hit
+    from ..telemetry.latency import segment_summaries
+
+    spec = graph.input_spec
+    zeros = np.zeros((n_images, spec.height, spec.width, spec.channels), dtype=np.int64)
+    pipeline = build_pipeline(
+        graph, zeros, partition=partition, link=link, fclk_mhz=fclk_mhz,
+        skip_sizing=skip_sizing,
+    )
+    engine = pipeline.engine
+    leap = LeapController.for_engine(engine)
+    cycles = engine.run(lambda: pipeline.sink.done, max_cycles=max_cycles, leap=leap)
+    result = TimingRun(
+        cycles=cycles,
+        completion_cycles=tuple(pipeline.sink.completion_cycles),
+        skip_high_water={
+            add: stream.stats.max_occupancy for add, stream in pipeline.skip_streams.items()
+        },
+        segments=tuple(
+            (label, float(summary.mean))
+            for label, summary in segment_summaries(pipeline)
+            if summary.mean is not None
+        ),
+    )
+    graph.timing_runs[key] = result
+    return result

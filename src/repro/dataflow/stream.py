@@ -6,6 +6,11 @@ register delay (an element pushed at cycle *t* is visible at *t + 1*), and
 optional extra latency for off-chip links (MaxRing / PCIe).  Streams count
 their own backpressure events so experiments can verify claims like "the
 skip buffer never creates delays by itself" (§III-B5).
+
+Each element is a token stamped with its ready cycle.  Timing-only runs
+move tokens alone (:meth:`Stream.push_token` / :meth:`Stream.pop_token`);
+payload runs also carry each element's value (:meth:`Stream.push` /
+:meth:`Stream.pop`).  Both share every counter, hook and wake.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ class Stream:
         "latency",
         "bits",
         "_fifo",
+        "_values",
         "stats",
         "reader",
         "writer",
@@ -73,7 +79,11 @@ class Stream:
         self.capacity = capacity
         self.latency = latency
         self.bits = bits
-        self._fifo: deque[tuple[int, int]] = deque()  # (value, ready_cycle)
+        # One ready cycle per buffered element: the whole timing state.
+        # Payload runs (see Engine.run) keep the element values alongside,
+        # in ``_values``; timing-only runs never touch it.
+        self._fifo: deque[int] = deque()
+        self._values: deque[int] = deque()
         self.stats = StreamStats()
         # Endpoint kernels (set by Engine.connect).  push/pop wake parked
         # endpoints directly (see the fast-path invariants in engine.py).
@@ -101,8 +111,12 @@ class Stream:
     def can_push(self) -> bool:
         return len(self._fifo) < self.capacity
 
-    def push(self, value: int, cycle: int) -> bool:
-        """Append ``value``; returns False (and counts a rejection) when full."""
+    def push_token(self, cycle: int) -> bool:
+        """Append one payload-free element; False (and a rejection) when full.
+
+        The timing-only engine moves only these tokens: an element's ready
+        cycle is all the schedule depends on (see :meth:`push` for values).
+        """
         fifo = self._fifo
         stats = self.stats
         occ = len(fifo)
@@ -113,7 +127,7 @@ class Stream:
                 tracer.on_reject(self.name, cycle)
             return False
         ready = cycle + 1 + self.latency
-        fifo.append((int(value), ready))
+        fifo.append(ready)
         stats.pushes += 1
         if self.mark_every and (stats.pushes - 1) % self.mark_every == 0:
             self.mark_cycles.append(cycle)
@@ -134,26 +148,33 @@ class Stream:
                     heappush(reader._wake_heap, (ready, reader._sched_index))
         return True
 
+    def push(self, value: int, cycle: int) -> bool:
+        """Append ``value`` (payload runs); returns False when full."""
+        if self.push_token(cycle):
+            self._values.append(int(value))
+            return True
+        return False
+
     def can_pop(self, cycle: int) -> bool:
-        return bool(self._fifo) and self._fifo[0][1] <= cycle
+        return bool(self._fifo) and self._fifo[0] <= cycle
 
     def ready_count(self, cycle: int) -> int:
         """Number of elements visible at ``cycle`` (cheap scan from the head)."""
         count = 0
-        for _, ready in self._fifo:
+        for ready in self._fifo:
             if ready <= cycle:
                 count += 1
             else:
                 break
         return count
 
-    def pop(self, cycle: int) -> int:
-        """Remove and return the head element; caller must check :meth:`can_pop`."""
+    def pop_token(self, cycle: int) -> None:
+        """Remove the head element's token; caller must check :meth:`can_pop`."""
         fifo = self._fifo
-        if not (fifo and fifo[0][1] <= cycle):
+        if not (fifo and fifo[0] <= cycle):
             raise RuntimeError(f"stream {self.name!r}: pop on empty/unready stream")
         was_full = len(fifo) >= self.capacity
-        value, _ = fifo.popleft()
+        fifo.popleft()
         self.stats.pops += 1
         tracer = self.tracer
         if tracer is not None:
@@ -170,19 +191,24 @@ class Stream:
                 if cycle < writer._wake_at:
                     writer._wake_at = cycle
                     heappush(writer._wake_heap, (cycle, writer._sched_index))
-        return value
+
+    def pop(self, cycle: int) -> int:
+        """Remove and return the head value (payload runs); see :meth:`pop_token`."""
+        self.pop_token(cycle)
+        return self._values.popleft()
 
     def head_ready_cycle(self) -> int | None:
         """Ready cycle of the head element, or None when empty."""
         fifo = self._fifo
-        return fifo[0][1] if fifo else None
+        return fifo[0] if fifo else None
 
     def peek(self, cycle: int) -> int:
         if not self.can_pop(cycle):
             raise RuntimeError(f"stream {self.name!r}: peek on empty/unready stream")
-        return self._fifo[0][0]
+        return self._values[0]
 
     def reset(self) -> None:
         self._fifo.clear()
+        self._values.clear()
         self.stats = StreamStats()
         self.mark_cycles = []

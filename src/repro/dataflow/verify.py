@@ -30,10 +30,10 @@ The exact §III-B5 solver
 ------------------------
 Kernel scheduling in this simulator is completely *value-independent*: the
 cycle at which any kernel consumes or emits depends only on tensor
-geometry, never on the data.  The solver exploits that by replaying the
-pipeline's schedule on a zero image batch with the convolution arithmetic
-stubbed out (an "abstract interpretation" that preserves timing exactly)
-and reading each skip stream's ``max_occupancy``.  Sizing the real skip
+geometry, never on the data.  The solver exploits that with one
+timing-only run of the pipeline (payload-free tokens, no arithmetic at
+all — an "abstract interpretation" that preserves timing exactly) and
+reads each skip stream's ``max_occupancy``.  Sizing the real skip
 FIFO to exactly that high-water mark is behaviour-preserving: every push in
 the unbounded replay happened at occupancy ``<= C - 1``, and the fork
 feeding the skip path checks space before pushing, so no rejection or
@@ -282,14 +282,6 @@ def skip_formula_bound(graph: LayerGraph, add_name: str) -> int:
     return graph.specs[add_name].elements
 
 
-def _partition_key(
-    partition: list[list[str]] | None,
-) -> tuple[tuple[str, ...], ...] | None:
-    if partition is None:
-        return None
-    return tuple(tuple(group) for group in partition)
-
-
 def estimated_replay_cost(graph: LayerGraph, n_images: int = SOLVER_IMAGES) -> int:
     """Rough kernel-tick count of one solver replay (drives the budget check)."""
     from ..hardware.timing import estimate_network_timing
@@ -308,51 +300,27 @@ def solve_skip_capacities(
 ) -> dict[str, int]:
     """Exact §III-B5 skip capacity per residual adder, by abstract replay.
 
-    Builds the pipeline on a zero image batch with every convolution's
-    arithmetic stubbed to emit zeros (kernel *timing* is value-independent,
-    so the schedule — and therefore each skip stream's high-water mark — is
-    exactly that of any real run with the same geometry), runs the fast
-    engine, and returns ``{add_node: max_occupancy}``.  Results are cached
-    on the graph instance per (partition, link, f_clk, n_images).
+    One timing-only run with effectively unbounded skip FIFOs
+    (:func:`~repro.dataflow.manager.timing_run`, ``skip_sizing="replay"``):
+    kernel *timing* is value-independent, so the schedule — and therefore
+    each skip stream's high-water mark — is exactly that of any real run
+    with the same geometry.  Returns ``{add_node: max_occupancy}``; the run
+    is cached on the graph instance.
     """
-    adds = [n for n in graph.order if isinstance(graph.nodes[n], AddNode)]
-    if not adds:
+    if not any(isinstance(graph.nodes[n], AddNode) for n in graph.order):
         return {}
-    key = (_partition_key(partition), link, float(fclk_mhz), int(n_images))
-    cache: dict[Any, dict[str, int]] | None = getattr(graph, "_skip_capacity_cache", None)
-    if cache is None:
-        cache = {}
-        graph._skip_capacity_cache = cache  # type: ignore[attr-defined]
-    hit = cache.get(key)
-    if hit is not None:
-        return dict(hit)
+    from .manager import timing_run
 
-    from ..kernels.conv import ConvKernel
-    from .manager import build_pipeline
-
-    spec = graph.input_spec
-    zeros = np.zeros((n_images, spec.height, spec.width, spec.channels), dtype=np.int64)
-    pipeline = build_pipeline(
+    run = timing_run(
         graph,
-        zeros,
+        n_images,
         partition=partition,
         link=link,
         fclk_mhz=fclk_mhz,
         skip_sizing="replay",
+        max_cycles=max_cycles,
     )
-    for kernel in pipeline.engine.kernels:
-        if isinstance(kernel, ConvKernel):
-            # Timing abstraction: emit the right *number* of outputs with no
-            # arithmetic.  Instance attribute shadows the method.
-            zero_out = [0] * kernel.out_channels
-            kernel._compute_outputs = lambda window, _z=zero_out: _z  # type: ignore[method-assign]
-    pipeline.engine.run(lambda: pipeline.sink.done, max_cycles=max_cycles)
-    solution = {
-        add: max(1, stream.stats.max_occupancy)
-        for add, stream in pipeline.skip_streams.items()
-    }
-    cache[key] = dict(solution)
-    return solution
+    return {add: max(1, high) for add, high in run.skip_high_water.items()}
 
 
 def check_skip_high_water(pipeline: "Pipeline", n_images: int) -> None:

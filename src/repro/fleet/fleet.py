@@ -132,23 +132,21 @@ _PROFILE_CACHE: dict[tuple[Any, ...], tuple[int, float]] = {}
 def profile_replica(spec: ReplicaSpec, fclk_mhz: float = DEFAULT_FCLK_MHZ) -> tuple[int, float]:
     """(first-image latency, steady-state interval) for one replica config.
 
-    Runs :data:`PROFILE_IMAGES` zero images *closed-loop* through the
-    replica's pipeline — the one place in the fleet layer where the leap
-    scheduler is eligible (open-loop replica runs demote, per the leap
-    contract), so paper-scale replicas profile in seconds, not minutes.
-    Timing is value-independent, so zero images measure the real schedule.
+    One closed-loop timing-only run of :data:`PROFILE_IMAGES` images
+    (:func:`~repro.dataflow.manager.timing_run`) — the one place in the
+    fleet layer where the leap scheduler is eligible (open-loop replica
+    runs demote, per the leap contract), so paper-scale replicas profile in
+    seconds, not minutes.  Cached per configuration in
+    :data:`_PROFILE_CACHE` for the life of the process.
     """
     key = (spec.family, spec.size, spec.width, spec.classes, fclk_mhz)
     cached = _PROFILE_CACHE.get(key)
     if cached is not None:
         return cached
-    from ..dataflow.manager import simulate
+    from ..dataflow.manager import timing_run
 
-    graph = spec.graph()
-    ispec = graph.input_spec
-    images = np.zeros((PROFILE_IMAGES, ispec.height, ispec.width, ispec.channels), dtype=np.int64)
-    run = simulate(graph, images, fclk_mhz=fclk_mhz, mode="leap")
-    interval = run.steady_state_interval
+    run = timing_run(spec.graph(), PROFILE_IMAGES, fclk_mhz=fclk_mhz)
+    interval = run.interval
     assert interval is not None  # PROFILE_IMAGES >= 2 completions
     profile = (run.latency_cycles, interval)
     _PROFILE_CACHE[key] = profile
@@ -211,7 +209,7 @@ def plan_fleet(config: FleetConfig) -> FleetPlan:
     """Route every request to a replica and serialize the shared ingress."""
     profiles = [profile_replica(spec, config.fclk_mhz) for spec in config.replicas]
     n_replicas = len(config.replicas)
-    graphs = [spec.graph() for spec in config.replicas]
+    graphs = {spec: spec.graph() for spec in dict.fromkeys(config.replicas)}
     ingress = SharedIngress(link=config.host_link, fclk_mhz=config.fclk_mhz)
 
     assignments: list[list[int]] = [[] for _ in range(n_replicas)]
@@ -220,7 +218,8 @@ def plan_fleet(config: FleetConfig) -> FleetPlan:
     ingress_waits: list[int] = []
 
     def dispatch(request: int, arrival: int, replica: int) -> IngressTransfer:
-        transfer = ingress.admit(request, arrival, graphs[replica].input_spec)
+        spec = graphs[config.replicas[replica]].input_spec
+        transfer = ingress.admit(request, arrival, spec)
         assignments[replica].append(request)
         host_arrivals[replica].append(arrival)
         fabric_arrivals[replica].append(transfer.fabric_arrival)
@@ -346,12 +345,17 @@ def _request_image(seed: int, request: int, height: int, width: int, channels: i
     return rng.integers(0, 4, size=(height, width, channels))
 
 
-def _replica_worker(job: tuple[Any, ...]) -> dict[str, Any]:
+def _replica_worker(
+    job: tuple[Any, ...], graphs: dict[ReplicaSpec, LayerGraph] | None = None
+) -> dict[str, Any]:
     """Simulate one replica against its planned arrival schedule.
 
     Takes and returns only plain picklable values so the serial reference
     path and the process-pool path execute literally the same function —
-    byte-identical fleet reports fall out of that, not out of luck.
+    byte-identical fleet reports fall out of that, not out of luck.  The
+    serial path passes ``graphs``, one graph per configuration shared by
+    its replicas, so identical replicas reuse one skip-solver run (cached
+    on the graph).
     """
     (
         index,
@@ -383,7 +387,11 @@ def _replica_worker(job: tuple[Any, ...]) -> dict[str, Any]:
         return result
     from ..dataflow.manager import build_pipeline
 
-    graph = spec.graph()
+    if graphs is None:
+        graphs = {}
+    if spec not in graphs:
+        graphs[spec] = spec.graph()
+    graph = graphs[spec]
     ispec = graph.input_spec
     images = np.stack(
         [
@@ -587,7 +595,8 @@ def simulate_fleet(config: FleetConfig, plan: FleetPlan | None = None) -> FleetR
         with _pool_context().Pool(processes=config.workers) as pool:
             replicas = pool.map(_replica_worker, jobs)
     else:
-        replicas = [_replica_worker(job) for job in jobs]
+        graphs: dict[ReplicaSpec, LayerGraph] = {}
+        replicas = [_replica_worker(job, graphs) for job in jobs]
     return FleetReport(config=config, plan=plan, replicas=replicas)
 
 

@@ -22,7 +22,7 @@ map size (§III-B4).
 
 from __future__ import annotations
 
-from collections import deque
+from functools import cached_property
 
 import numpy as np
 
@@ -69,10 +69,6 @@ class ConvKernel(Kernel):
         self.channels = in_spec.channels
         self.out_channels = node.out_channels
         self.use_bitops = use_bitops
-        self._wmat = node.weights.reshape(-1, node.out_channels).astype(np.int64)
-        # Float64 weight matrix routes the per-window GEMM through BLAS; all
-        # magnitudes stay far below 2**53, so the product is exact.
-        self._wmat_f = self._wmat.astype(np.float64)
         # Bitops operands hoisted out of the per-position path: the packed
         # weight words, activation bit width, and a reusable plane-packing
         # buffer sized to the window vector (tail bits stay zero).
@@ -85,39 +81,61 @@ class ConvKernel(Kernel):
             self._plane_shifts = np.arange(self._in_bits, dtype=np.int64)[:, None]
         else:
             self._packed_words = None
-        # Fused-threshold tables, precomputed once (the paper's
-        # normalization cache): per-output-channel endpoints, slope signs
-        # and constant levels for the vectorized comparison cascade.
-        if node.threshold is not None:
-            unit = node.threshold
-            ends = unit.endpoints()  # (O, 2**n - 1)
-            sign = np.asarray(unit.slope_sign)
-            # Fold the slope sign into the endpoints so one >= comparison
-            # covers both polarities: count(acc <= e) == count(-acc >= -e).
-            sv = np.where(sign < 0, -1.0, 1.0)
-            self._th_ends = ends * sv[:, None]
-            self._th_sv = sv
-            self._th_is_const = sign == 0
-            self._th_const = np.asarray(unit.const_level)
-        else:
-            self._th_ends = None
-        self._window = ScanWindow(self.hp, self.wp, self.channels, self.k)
-        self._pending: deque[int] = deque()
+        # Control state: the depth-first scan position of the current image
+        # (element, pixel, channel) and the outputs still to emit at the
+        # current window position.  This is all a timing-only tick touches.
+        self._total = self.hp * self.wp * self.channels
+        self._pos = 0
+        self._pixel = 0
+        self._i = 0
+        self._pending = 0
         self.images_done = 0
+        # Payload state, built on first use: the shift-register window and
+        # the current position's ``O`` output values.
+        self._window: ScanWindow | None = None
+        self._emit: list[int] = []
         self._pad_value = int(node.pad_level)
-        # Per-pixel geometry tables: padding membership and emit validity,
-        # indexed by the scan pixel ``r * wp + c``.
+        # Per-pixel geometry tables, indexed by the scan pixel ``r * wp + c``:
+        # padding membership, and whether the window completing at this
+        # pixel is a valid (in-border, stride-aligned) output position.
         self._pad_px = [
             self._is_pad(r, c) for r in range(self.hp) for c in range(self.wp)
         ]
-        self._valid_px = [
-            self._is_valid_position(r, c) for r in range(self.hp) for c in range(self.wp)
+        km1 = self.k - 1
+        self._emit_px = [
+            r >= km1 and c >= km1 and self._is_valid_position(r, c)
+            for r in range(self.hp)
+            for c in range(self.wp)
         ]
         # Parameter-fetch cost (paper: weights + normalization parameters are
         # streamed in depth-first once, before inference starts).
         self.param_load_cycles = node.weight_count // max(1, self.k * self.k * self.channels) + (
             node.out_channels if node.threshold is not None else 0
         )
+
+    # -- arithmetic tables (value passes only; built on first use) --------
+    @cached_property
+    def _wmat_f(self) -> np.ndarray:
+        # Float64 weight matrix routes the GEMMs through BLAS; all
+        # magnitudes stay far below 2**53, so the products are exact.
+        return self.node.weights.reshape(-1, self.out_channels).astype(np.float64)
+
+    @cached_property
+    def _thresholds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+        """Fused-threshold tables (the paper's normalization cache).
+
+        Per-output-channel endpoints with the slope sign folded in, so one
+        ``>=`` comparison covers both polarities (count(acc <= e) ==
+        count(-acc >= -e)), plus the sign vector and the constant levels
+        used where the slope is zero.
+        """
+        unit = self.node.threshold
+        if unit is None:
+            return None
+        ends = unit.endpoints()  # (O, 2**n - 1)
+        sign = np.asarray(unit.slope_sign)
+        sv = np.where(sign < 0, -1.0, 1.0)
+        return ends * sv[:, None], sv, sign == 0, np.asarray(unit.const_level)
 
     # -- geometry ------------------------------------------------------
     def _is_pad(self, r: int, c: int) -> bool:
@@ -157,20 +175,26 @@ class ConvKernel(Kernel):
             acc_f = acc.astype(np.float64)
         else:
             acc_f = window.reshape(-1).astype(np.float64) @ self._wmat_f
-        ends = self._th_ends
-        if ends is None:
-            return acc_f.astype(np.int64).tolist()
-        # Vectorized equivalent of ThresholdUnit.apply for a (O,) vector:
-        # the level is the count of sign-folded endpoints at-or-below the
-        # accumulator, constant level where the slope is zero.
-        out = ((acc_f * self._th_sv)[:, None] >= ends).sum(axis=-1, dtype=np.int64)
-        out = np.where(self._th_is_const, self._th_const, out)
-        return out.tolist()
+        return self._threshold(acc_f).tolist()
+
+    def _threshold(self, acc: np.ndarray) -> np.ndarray:
+        """Vectorized ThresholdUnit.apply over a ``(..., O)`` accumulator.
+
+        The level is the count of sign-folded endpoints at-or-below the
+        accumulator, the constant level where the slope is zero; without a
+        fused unit the accumulator itself is the output.
+        """
+        tables = self._thresholds
+        if tables is None:
+            return acc.astype(np.int64)
+        ends, sv, is_const, const = tables
+        out = ((acc * sv)[..., None] >= ends).sum(axis=-1, dtype=np.int64)
+        return np.where(is_const, const, out)
 
     def leap_phase(self, cycle: int) -> tuple[int, ...]:
         # Scan position and emit backlog fully determine the next tick's
         # control flow; window *contents* are data and never steer it.
-        return (self._window._pos, len(self._pending))
+        return (self._pos, self._pending)
 
     def batch_compute(self, x: np.ndarray) -> np.ndarray:
         """All output pixels of a batch of images as one blocked GEMM.
@@ -181,8 +205,9 @@ class ConvKernel(Kernel):
         cascade as the streaming per-window path — every product and sum is
         an exact integer far below 2**53, so the batched result is
         bit-identical regardless of BLAS blocking (and to the bitops route,
-        a tested property).  The leap scheduler uses this to synthesize the
-        outputs of images whose cycles it fast-forwarded over.
+        a tested property).  The value pass
+        (:func:`~repro.dataflow.leap.batch_reference_outputs`) serves every
+        timing-only run's outputs through it.
         """
         n = x.shape[0]
         k, stride = self.k, self.stride
@@ -202,13 +227,7 @@ class ConvKernel(Kernel):
                 rows = grid[:, dr : dr + (n_out_r - 1) * stride + 1 : stride,
                             dc : dc + (n_out_c - 1) * stride + 1 : stride, :]
                 acc += rows @ taps[dr, dc]
-        ends = self._th_ends
-        if ends is None:
-            out = acc.astype(np.int64)
-        else:
-            out = ((acc * self._th_sv)[..., None] >= ends).sum(axis=-1, dtype=np.int64)
-            out = np.where(self._th_is_const, self._th_const, out)
-        return out
+        return self._threshold(acc)
 
     def _accumulate_bitpacked(self, vec: np.ndarray) -> np.ndarray:
         """One AND-popcount GEMM for a single window vector.
@@ -231,61 +250,81 @@ class ConvKernel(Kernel):
         return acc
 
     # -- cycle behaviour --------------------------------------------------
-    def tick(self, cycle: int) -> None:
+    def tick(self, cycle: int) -> int | None:
         pending = self._pending
         if pending:
             # Emit phase: input halted, one output pixel (channel) per clock.
-            if self.outputs[0].push(pending[0], cycle):
-                pending.popleft()
-                stats = self.stats
-                stats.active_cycles += 1
-                if stats.first_active_cycle is None:
-                    stats.first_active_cycle = cycle
-                stats.last_active_cycle = cycle
-                stats.elements_out += 1
-                window = self._window
-                if not pending and window._pos >= window._total:
-                    self._finish_image()
-                return None
-            return self._blocked(cycle)
+            out = self.outputs[0]
+            if self.payload:
+                pushed = out.push(self._emit[-pending], cycle)
+            else:
+                pushed = out.push_token(cycle)
+            if not pushed:
+                return self._blocked(cycle)
+            self._pending = pending - 1
+            stats = self.stats
+            stats.active_cycles += 1
+            if stats.first_active_cycle is None:
+                stats.first_active_cycle = cycle
+            stats.last_active_cycle = cycle
+            stats.elements_out += 1
+            if pending == 1 and self._pos >= self._total:
+                self._finish_image()
+            return None
 
-        window = self._window
-        if window._pos >= window._total:
-            self._finish_image()
-
-        if self._pad_px[window._pixel]:
-            self._feed(self._pad_value, cycle)
-            return
-        inp = self.inputs[0]
-        fifo = inp._fifo
-        if fifo and fifo[0][1] <= cycle:
-            value = inp.pop(cycle)
-            self.stats.elements_in += 1
-            self._feed(value, cycle)
-        else:
-            return self._starved(cycle)
-
-    def _feed(self, value: int, cycle: int) -> None:
-        window = self._window
-        completed = window.feed(value)
+        # Scan phase: one element per clock, a padding level at padding
+        # positions ("stops the input stream and inputs padding values").
+        pixel = self._pixel
+        payload = self.payload
+        value = self._pad_value
         stats = self.stats
+        if not self._pad_px[pixel]:
+            inp = self.inputs[0]
+            fifo = inp._fifo
+            if not (fifo and fifo[0] <= cycle):
+                return self._starved(cycle)
+            if payload:
+                value = inp.pop(cycle)
+            else:
+                inp.pop_token(cycle)
+            stats.elements_in += 1
         stats.active_cycles += 1
         if stats.first_active_cycle is None:
             stats.first_active_cycle = cycle
         stats.last_active_cycle = cycle
-        if completed is not None:
-            r, c, win = completed
-            if self._valid_px[r * self.wp + c]:
-                self._pending.extend(self._compute_outputs(win))
-        if window._pos >= window._total and not self._pending:
+        if payload:
+            window = self._window
+            if window is None:
+                window = self._window = ScanWindow(self.hp, self.wp, self.channels, self.k)
+            completed = window.feed(value)
+        pos = self._pos + 1
+        self._pos = pos
+        i = self._i + 1
+        if i < self.channels:
+            self._i = i
+        else:
+            # Last channel of the pixel: the window (if any) completes here.
+            self._i = 0
+            self._pixel = pixel + 1
+            if self._emit_px[pixel]:
+                self._pending = self.out_channels
+                if payload:
+                    self._emit = self._compute_outputs(completed[2])
+                return None
+        if pos >= self._total:
             self._finish_image()
+        return None
 
     def _finish_image(self) -> None:
         self.images_done += 1
-        self._window.reset()
+        self._pos = 0
+        self._pixel = 0
+        self._i = 0
+        if self._window is not None:
+            self._window.reset()
 
     def reset(self) -> None:
         super().reset()
-        self._window.reset()
-        self._pending.clear()
+        self._finish_image()
+        self._pending = 0
         self.images_done = 0

@@ -43,19 +43,22 @@ class AddKernel(Kernel):
         """Batched functional residual add over ``(N, H, W, C)`` tensors."""
         return a + b
 
-    def tick(self, cycle: int) -> None:
+    def tick(self, cycle: int) -> int | None:
         a, b = self.inputs
         fa, fb = a._fifo, b._fifo
-        if not (fa and fa[0][1] <= cycle and fb and fb[0][1] <= cycle):
+        if not (fa and fa[0] <= cycle and fb and fb[0] <= cycle):
             return self._starved(cycle)
         out = self.outputs[0]
         if len(out._fifo) >= out.capacity:
             return self._blocked(cycle)
-        va = a.pop(cycle)
-        vb = b.pop(cycle)
+        if self.payload:
+            out.push(a.pop(cycle) + b.pop(cycle), cycle)
+        else:
+            a.pop_token(cycle)
+            b.pop_token(cycle)
+            out.push_token(cycle)
         stats = self.stats
         stats.elements_in += 2
-        out.push(va + vb, cycle)
         stats.elements_out += 1
         stats.active_cycles += 1
         if stats.first_active_cycle is None:
@@ -65,6 +68,7 @@ class AddKernel(Kernel):
         if self._count >= self._per_image:
             self._count = 0
             self.images_done += 1
+        return None
 
     def reset(self) -> None:
         super().reset()
@@ -94,20 +98,25 @@ class ForkKernel(Kernel):
     def leap_phase(self, cycle: int) -> tuple[int, ...]:
         return (self._count,)
 
-    def tick(self, cycle: int) -> None:
+    def tick(self, cycle: int) -> int | None:
         inp = self.inputs[0]
         fifo = inp._fifo
-        if not (fifo and fifo[0][1] <= cycle):
+        if not (fifo and fifo[0] <= cycle):
             return self._starved(cycle)
         outputs = self.outputs
         for o in outputs:
             if len(o._fifo) >= o.capacity:
                 return self._blocked(cycle)
-        value = inp.pop(cycle)
+        if self.payload:
+            value = inp.pop(cycle)
+            for o in outputs:
+                o.push(value, cycle)
+        else:
+            inp.pop_token(cycle)
+            for o in outputs:
+                o.push_token(cycle)
         stats = self.stats
         stats.elements_in += 1
-        for o in outputs:
-            o.push(value, cycle)
         stats.elements_out += len(outputs)
         stats.active_cycles += 1
         if stats.first_active_cycle is None:
@@ -117,6 +126,7 @@ class ForkKernel(Kernel):
         if self._count >= self._per_image:
             self._count = 0
             self.images_done += 1
+        return None
 
     def reset(self) -> None:
         super().reset()

@@ -39,9 +39,10 @@ class MaxPoolKernel(Kernel):
         self.h = in_spec.height + 2 * node.pad
         self.w = in_spec.width + 2 * node.pad
         self.channels = in_spec.channels
-        # Flat Python-int grid: element (r, c, i) lives at (r*w + c)*C + i.
-        # Plain list indexing beats per-cycle numpy scalar access.
-        self._grid = [0] * (self.h * self.w * self.channels)
+        # Payload state, built on first use — a flat Python-int grid where
+        # element (r, c, i) lives at (r*w + c)*C + i (plain list indexing
+        # beats per-cycle numpy scalar access).
+        self._grid: list[int] = []
         self._total = self.h * self.w * self.channels
         self._pos = 0
         self._pixel = 0
@@ -86,11 +87,6 @@ class MaxPoolKernel(Kernel):
         windows = windows[:, :: self.stride, :: self.stride]
         return windows.max(axis=(-2, -1))
 
-    def _position(self) -> tuple[int, int, int]:
-        pixel, i = divmod(self._pos, self.channels)
-        r, c = divmod(pixel, self.w)
-        return r, c, i
-
     def _emits_at(self, r: int, c: int) -> bool:
         if r < self.k - 1 or c < self.k - 1:
             return False
@@ -100,9 +96,7 @@ class MaxPoolKernel(Kernel):
         p = self.pad
         return p > 0 and (r < p or r >= self.h - p or c < p or c >= self.w - p)
 
-    def tick(self, cycle: int) -> None:
-        if self._pos >= self._total:
-            self._finish_image()
+    def tick(self, cycle: int) -> int | None:
         pixel = self._pixel
         emits = self._emit_px[pixel]
         out = self.outputs[0]
@@ -110,20 +104,24 @@ class MaxPoolKernel(Kernel):
             # Must emit this cycle but there is no space: stall the input too
             # (the value cannot be consumed without producing).
             return self._blocked(cycle)
+        payload = self.payload
         stats = self.stats
-        if self._pad_px[pixel]:
-            value = 0  # level 0: neutral under max for non-negative levels
-        else:
+        value = 0  # padding: level 0, neutral under max for non-negative levels
+        if not self._pad_px[pixel]:
             inp = self.inputs[0]
             fifo = inp._fifo
-            if not (fifo and fifo[0][1] <= cycle):
+            if not (fifo and fifo[0] <= cycle):
                 return self._starved(cycle)
-            value = inp.pop(cycle)
+            if payload:
+                value = inp.pop(cycle)
+            else:
+                inp.pop_token(cycle)
             stats.elements_in += 1
         i = self._i
-        base = pixel * self.channels + i
-        grid = self._grid
-        grid[base] = value
+        if payload:
+            grid = self._grid or self._new_grid()
+            base = pixel * self.channels + i
+            grid[base] = value
         self._pos += 1
         if i + 1 < self.channels:
             self._i = i + 1
@@ -135,22 +133,29 @@ class MaxPoolKernel(Kernel):
             stats.first_active_cycle = cycle
         stats.last_active_cycle = cycle
         if emits:
-            out.push(max(grid[base - off] for off in self._win_offsets), cycle)
+            if payload:
+                out.push(max(grid[base - off] for off in self._win_offsets), cycle)
+            else:
+                out.push_token(cycle)
             stats.elements_out += 1
         if self._pos >= self._total:
             self._finish_image()
+        return None
+
+    def _new_grid(self) -> list[int]:
+        self._grid = [0] * self._total
+        return self._grid
 
     def _finish_image(self) -> None:
-        if self._pos >= self._total:
-            self.images_done += 1
-            self._pos = 0
-            self._pixel = 0
-            self._i = 0
+        self.images_done += 1
+        self._pos = 0
+        self._pixel = 0
+        self._i = 0
 
     def reset(self) -> None:
         super().reset()
         self._pos = 0
         self._pixel = 0
         self._i = 0
-        self._grid = [0] * len(self._grid)
+        self._grid = []
         self.images_done = 0

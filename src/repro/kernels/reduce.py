@@ -43,10 +43,14 @@ class GlobalAvgSumKernel(Kernel):
         """Batched exact integer channel sums, ``(N, H, W, C)`` -> ``(N, 1, 1, C)``."""
         return x.sum(axis=(1, 2), keepdims=True, dtype=np.int64)
 
-    def tick(self, cycle: int) -> None:
+    def tick(self, cycle: int) -> int | None:
         out = self.outputs[0]
         if self._emit_chan is not None:
-            if out.push(self._sums[self._emit_chan], cycle):
+            if self.payload:
+                pushed = out.push(self._sums[self._emit_chan], cycle)
+            else:
+                pushed = out.push_token(cycle)
+            if pushed:
                 self.stats.elements_out += 1
                 self.stats.mark_active(cycle)
                 self._emit_chan += 1
@@ -58,16 +62,19 @@ class GlobalAvgSumKernel(Kernel):
             return self._blocked(cycle)
         inp = self.inputs[0]
         fifo = inp._fifo
-        if not (fifo and fifo[0][1] <= cycle):
+        if not (fifo and fifo[0] <= cycle):
             return self._starved(cycle)
-        value = inp.pop(cycle)
+        if self.payload:
+            self._sums[self._count % self.channels] += inp.pop(cycle)
+        else:
+            inp.pop_token(cycle)
         self.stats.elements_in += 1
-        self._sums[self._count % self.channels] += value
         self._count += 1
         self.stats.mark_active(cycle)
         if self._count >= self._per_image:
             self._count = 0
             self._emit_chan = 0
+        return None
 
     def reset(self) -> None:
         super().reset()

@@ -34,7 +34,6 @@ class ThresholdKernel(Kernel):
         # Pre-compute per-channel endpoint tables once (the normalization
         # cache of the paper: two parameters per channel, expanded here).
         ends = self.unit.endpoints()
-        self._endpoints: list[np.ndarray] = [np.asarray(ends[c]) for c in range(self.channels)]
         self._signs = [int(s) for s in self.unit.slope_sign]
         self._const = [int(v) for v in self.unit.const_level]
         # Ascending per-channel endpoint lists for the hot path: plain
@@ -45,7 +44,6 @@ class ThresholdKernel(Kernel):
             for c in range(self.channels)
         ]
         self._n_ends = ends.shape[1]
-        self._chan = 0
         self.images_done = 0
         self._count = 0
         self._per_image = in_spec.elements
@@ -54,7 +52,7 @@ class ThresholdKernel(Kernel):
         return self._per_image
 
     def leap_phase(self, cycle: int) -> tuple[int, ...]:
-        return (self._chan, self._count)
+        return (self._count,)
 
     def batch_compute(self, x: np.ndarray) -> np.ndarray:
         """Batched threshold pass over ``(N, H, W, C)``, one searchsorted per channel.
@@ -75,35 +73,31 @@ class ThresholdKernel(Kernel):
                 out[..., c] = self._n_ends - np.searchsorted(self._asc[c], v, side="left")
         return out
 
-    def _level(self, value: float, chan: int) -> int:
-        sign = self._signs[chan]
-        if sign == 0:
-            return self._const[chan]
-        ends = self._endpoints[chan]
-        # Binary search over the (monotone in alpha) endpoints.
-        if sign > 0:
-            return int(np.searchsorted(ends, value, side="right"))
-        rev = ends[::-1]
-        return len(ends) - int(np.searchsorted(rev, value, side="left"))
-
-    def tick(self, cycle: int) -> None:
+    def tick(self, cycle: int) -> int | None:
         inp = self.inputs[0]
         out = self.outputs[0]
         fifo = inp._fifo
-        if not (fifo and fifo[0][1] <= cycle):
+        if not (fifo and fifo[0] <= cycle):
             return self._starved(cycle)
         if len(out._fifo) >= out.capacity:
             return self._blocked(cycle)
-        value = inp.pop(cycle)
-        chan = self._chan
-        sign = self._signs[chan]
-        if sign == 0:
-            level = self._const[chan]
-        elif sign > 0:
-            level = bisect_right(self._asc[chan], value)
+        count = self._count
+        if self.payload:
+            # The element's channel follows from its position (channels
+            # innermost, and every image is a whole number of pixels).
+            value = inp.pop(cycle)
+            chan = count % self.channels
+            sign = self._signs[chan]
+            if sign == 0:
+                level = self._const[chan]
+            elif sign > 0:
+                level = bisect_right(self._asc[chan], value)
+            else:
+                level = self._n_ends - bisect_left(self._asc[chan], value)
+            out.push(level, cycle)
         else:
-            level = self._n_ends - bisect_left(self._asc[chan], value)
-        out.push(level, cycle)
+            inp.pop_token(cycle)
+            out.push_token(cycle)
         stats = self.stats
         stats.elements_in += 1
         stats.elements_out += 1
@@ -111,14 +105,14 @@ class ThresholdKernel(Kernel):
         if stats.first_active_cycle is None:
             stats.first_active_cycle = cycle
         stats.last_active_cycle = cycle
-        self._chan = chan + 1 if chan + 1 < self.channels else 0
-        self._count += 1
-        if self._count >= self._per_image:
-            self._count = 0
+        count += 1
+        if count >= self._per_image:
+            count = 0
             self.images_done += 1
+        self._count = count
+        return None
 
     def reset(self) -> None:
         super().reset()
-        self._chan = 0
         self._count = 0
         self.images_done = 0

@@ -22,6 +22,7 @@ pre-folded threshold units.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Any
 
 import networkx as nx
 import numpy as np
@@ -375,6 +376,9 @@ class LayerGraph:
     output_name: str | None = None
     output_affine: Affine | None = None
     name: str = "network"
+    # Cache of repro.dataflow.manager.timing_run results for this instance;
+    # adding a node clears it.
+    timing_runs: dict[Any, Any] = field(default_factory=dict, repr=False, compare=False)
 
     def add(self, node: Node, inputs: tuple[str, ...] | list[str] = ()) -> Node:
         if node.name in self.nodes:
@@ -387,6 +391,7 @@ class LayerGraph:
                 raise ValueError(f"{node.name}: unknown input {parent!r}")
         in_specs = [self.specs[p] for p in inputs]
         spec = node.infer(in_specs)
+        self.timing_runs.clear()
         self.nodes[node.name] = node
         self.specs[node.name] = spec
         self.order.append(node.name)

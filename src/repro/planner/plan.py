@@ -109,8 +109,8 @@ class PredictedTiming:
     ``interval`` and ``latency_cycles`` are *bit-equal* to what
     ``simulate(graph, images, partition=...)`` measures with the same
     image count (leap/fast bit-identity): kernel scheduling never depends
-    on data values, so a zero-batch replay with stubbed convolution
-    arithmetic walks the identical cycle schedule.  ``period`` is the
+    on data values, so one timing-only run (no values at all) walks the
+    identical cycle schedule.  ``period`` is the
     count-independent exact completion period when the run reached one.
     """
 

@@ -9,21 +9,16 @@ interval of the planned partitioning bit-for-bit.
 That exactness is free here because kernel scheduling is completely
 value-independent (the same property the §III-B5 skip solver and the leap
 scheduler's periodicity proof rest on): the cycle at which any kernel
-consumes or emits depends only on tensor geometry.  So we build the real
-pipeline on a zero batch, stub out the convolution arithmetic, run the
-fast engine once, and read the sink's completion instants — the identical
-schedule any real run of the same geometry walks, at a fraction of the
-compute.  No search-loop candidate is ever replayed; only the winner (and,
+consumes or emits depends only on tensor geometry.  So one timing-only run
+of the real pipeline (no element values at all) reads the sink's
+completion instants — the identical schedule any real run of the same
+geometry walks, at a fraction of the compute.  No search-loop candidate is ever replayed; only the winner (and,
 in tests, its neighbors) pays this cost.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
-import numpy as np
-
-from ..dataflow.interval import exact_completion_period, mean_completion_interval
+from ..dataflow.interval import exact_completion_period
 from ..dataflow.links import MAXRING, LinkSpec
 from ..nn.graph import LayerGraph
 from .plan import PredictedTiming
@@ -47,66 +42,28 @@ def predict_partition_timing(
     n_images: int = PREDICT_IMAGES,
     max_cycles: int = 500_000_000,
 ) -> PredictedTiming:
-    """Exact interval/latency of ``partition`` via one zero-batch replay.
+    """Exact interval/latency of ``partition`` via one timing-only run.
 
     Bit-equal to a real ``simulate(...)`` of the same partition and image
-    count in any mode (exhaustive/fast/leap) — tested property.  Results
-    are cached on the graph per (partition, link, f_clk, n_images).
+    count in any mode (exhaustive/fast/leap) — tested property.  The run
+    (:func:`~repro.dataflow.manager.timing_run`) is cached on the graph.
     """
-    key = (
-        tuple(tuple(group) for group in partition),
-        link,
-        float(fclk_mhz),
-        int(n_images),
-    )
-    cache: dict[Any, PredictedTiming] | None = getattr(graph, "_plan_replay_cache", None)
-    if cache is None:
-        cache = {}
-        graph._plan_replay_cache = cache  # type: ignore[attr-defined]
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
+    from ..dataflow.manager import timing_run
 
-    from ..kernels.conv import ConvKernel
-    from ..dataflow.manager import build_pipeline
-    from ..telemetry.latency import segment_summaries
-
-    spec = graph.input_spec
-    zeros = np.zeros((n_images, spec.height, spec.width, spec.channels), dtype=np.int64)
-    pipeline = build_pipeline(
+    run = timing_run(
         graph,
-        zeros,
+        n_images,
         partition=partition,
         link=link,
         fclk_mhz=fclk_mhz,
-        skip_sizing="exact",
+        max_cycles=max_cycles,
     )
-    for kernel in pipeline.engine.kernels:
-        if isinstance(kernel, ConvKernel):
-            # Timing abstraction (as in verify.solve_skip_capacities): emit
-            # the right *number* of outputs with no arithmetic.
-            zero_out = [0] * kernel.out_channels
-            kernel._compute_outputs = lambda window, _z=zero_out: _z  # type: ignore[method-assign]
-    cycles = pipeline.engine.run(lambda: pipeline.sink.done, max_cycles=max_cycles)
-    if not pipeline.sink.done:
-        raise RuntimeError(
-            f"plan replay of {graph.name!r} did not finish within {max_cycles:,} "
-            "cycles — run `python -m repro check` on this partition"
-        )
-    completions = list(pipeline.sink.completion_cycles)
-    segments = tuple(
-        (label, float(summary.mean))
-        for label, summary in segment_summaries(pipeline)
-        if summary.mean is not None
-    )
-    timing = PredictedTiming(
+    return PredictedTiming(
         n_images=n_images,
-        replay_cycles=cycles,
-        latency_cycles=completions[0],
-        completion_cycles=tuple(completions),
-        interval=mean_completion_interval(completions),
-        period=exact_completion_period(completions),
-        segments=segments,
+        replay_cycles=run.cycles,
+        latency_cycles=run.latency_cycles,
+        completion_cycles=run.completion_cycles,
+        interval=run.interval,
+        period=exact_completion_period(run.completion_cycles),
+        segments=run.segments,
     )
-    cache[key] = timing
-    return timing

@@ -407,7 +407,7 @@ class Telemetry:
             stream = lprobe.stream
             if stream is None:
                 continue
-            lprobe.in_flight.set(sum(1 for _, ready in stream._fifo if ready > cycle))
+            lprobe.in_flight.set(sum(1 for ready in stream._fifo if ready > cycle))
             if cycle > 0:
                 lprobe.measured.set(stream.stats.pushes * stream.bits * self.fclk_mhz / cycle)
 

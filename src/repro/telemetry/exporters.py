@@ -34,6 +34,7 @@ __all__ = [
     "render_prometheus",
     "snapshot_registry",
     "validate_exposition",
+    "refuse_overwrite",
     "write_text_file",
     "PeriodicExporter",
 ]
@@ -220,13 +221,16 @@ def validate_exposition(text: str) -> list[str]:
     return problems
 
 
+def refuse_overwrite(path: str | Path, force: bool = False) -> None:
+    """Raise FileExistsError when ``path`` exists and ``force`` is false."""
+    if Path(path).exists() and not force:
+        raise FileExistsError(f"{path} exists; pass --force to overwrite")
+
+
 def write_text_file(path: str | Path, text: str, force: bool = False) -> Path:
     """Write ``text`` to ``path``; refuse to overwrite unless ``force``."""
+    refuse_overwrite(path, force)
     target = Path(path)
-    if target.exists() and not force:
-        raise FileExistsError(
-            f"{target} exists; pass --force (or force=True) to overwrite"
-        )
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(text)
     return target
@@ -259,10 +263,8 @@ class PeriodicExporter:
         self.every_samples = every_samples
         self._samples_seen = 0
         for target in (self.prom_path, self.json_path):
-            if target is not None and target.exists() and not force:
-                raise FileExistsError(
-                    f"{target} exists; pass --force (or force=True) to overwrite"
-                )
+            if target is not None:
+                refuse_overwrite(target, force)
 
     def __call__(self, telemetry: Any, cycle: int) -> None:
         self._samples_seen += 1

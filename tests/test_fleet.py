@@ -182,6 +182,20 @@ class TestConservation:
         for r, rep in enumerate(report.replicas):
             assert rep["n_completed"] == rep["n_dispatched"] == len(report.plan.assignments[r])
 
+    def test_one_graph_per_distinct_replica_spec(self, monkeypatch):
+        config = _config(replicas=[FAST, SLOW, FAST, FAST], n_requests=8)
+        profile_replica(FAST)
+        profile_replica(SLOW)  # profiles are cached per process; warm them first
+        built = []
+        real = ReplicaSpec.graph
+        monkeypatch.setattr(ReplicaSpec, "graph", lambda spec: built.append(spec) or real(spec))
+        plan = plan_fleet(config)
+        assert sorted(built, key=str) == sorted([FAST, SLOW], key=str)
+        built.clear()
+        report = simulate_fleet(config, plan=plan)
+        assert report.aggregate["conserved"]
+        assert sorted(built, key=str) == sorted([FAST, SLOW], key=str)
+
     def test_plan_fabric_arrivals_are_non_decreasing_per_replica(self):
         plan = plan_fleet(_config(policy="jsq", n_requests=10, rate_fps=50_000.0))
         for arrivals in plan.fabric_arrivals:

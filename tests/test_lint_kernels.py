@@ -85,6 +85,18 @@ class BadKernel(Kernel):
 """
         assert _codes(src, tmp_path) == ["KC002"]
 
+    def test_value_deque_mutator_flagged(self, tmp_path):
+        # The value deque rides in step with _fifo; touching it alone desyncs them.
+        src = """
+class BadKernel(Kernel):
+    def tick(self, cycle):
+        inp = self.inputs[0]
+        inp._values.popleft()
+        vals = self.outputs[0]._values
+        vals.append(7)
+"""
+        assert _codes(src, tmp_path) == ["KC002", "KC002"]
+
     def test_stream_attribute_assignment_flagged(self, tmp_path):
         src = """
 class BadKernel(Kernel):

@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 from repro.dataflow import simulate, verify
+from repro.dataflow.engine import Engine
 from repro.models import direct_alexnet_graph, direct_resnet18_graph, direct_vgg_graph
 from repro.planner import (
     PlanError,
@@ -107,12 +108,14 @@ class TestExactPrediction:
         assert run.latency_cycles == predicted.latency_cycles
         assert tuple(run.run.completion_cycles) == predicted.completion_cycles
 
-    def test_replay_is_cached_per_partition(self):
+    def test_replay_is_cached_per_partition(self, monkeypatch):
         graph = FAMILIES["vgg"]()
         partition = [list(graph.order[1:])]
         a = predict_partition_timing(graph, partition)
+        runs = []
+        monkeypatch.setattr(Engine, "run", lambda *args, **kw: runs.append(args))
         b = predict_partition_timing(graph, partition)
-        assert a is b
+        assert a == b and runs == []  # served from the graph's timing cache
 
 
 class TestNeighborDominance:
@@ -281,6 +284,23 @@ class TestPlanCli:
             )
             == 0
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--objective", "min-latency"],
+            ["--objective", "min-latency", "--dfes", "0"],
+            ["--objective", "min-latency", "--dfes", "-1"],
+            ["--objective", "min-dfes", "--dfes", "0"],
+            ["--objective", "min-dfes", "--dfes", "-2"],
+        ],
+    )
+    def test_bad_dfes_exits_2_naming_the_flag(self, capsys, argv):
+        from repro.cli import main
+
+        assert main(["plan", "vgg", *argv]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "--dfes" in err[0]
 
     def test_check_json_payload(self, capsys):
         from repro.cli import main

@@ -43,6 +43,40 @@ class TestSimulateJson:
         assert prom.read_text() != "old\n"
 
 
+class TestImagesEdge:
+    @pytest.mark.parametrize("command", [["simulate"], ["top", "--plain", "--refresh", "0"]])
+    @pytest.mark.parametrize("images", ["0", "-3"])
+    def test_no_images_exits_2_naming_the_flag(self, capsys, command, images):
+        rc = cli_main([*command, "--images", images])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"--images must be >= 1, got {images}"]
+
+
+class TestOutputGuard:
+    """Every ``--out`` subcommand goes through the one overwrite guard."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "--out"],
+            ["load", "--rate", "1000", "--json", "--out"],
+            ["fleet", "--replicas", "1", "--out"],
+            ["check", "vgg:16:0.0625", "--out"],
+            ["plan", "vgg:16:0.0625", "--out"],
+            ["perf", "report", "--out"],
+            ["perf", "diff", "--out"],
+        ],
+    )
+    def test_existing_out_refused_without_force(self, capsys, tmp_path, argv):
+        out = tmp_path / "taken.json"
+        out.write_text("old\n")
+        assert cli_main([*argv, str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"{out} exists; pass --force to overwrite"]
+        assert out.read_text() == "old\n"
+
+
 class TestSimulateLeapDemotion:
     def test_open_loop_leap_warns_with_reason(self, capsys):
         # An open-loop arrival schedule demotes --mode leap to the fast

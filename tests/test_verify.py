@@ -23,6 +23,7 @@ from repro.dataflow import (
     verify_graph,
     verify_pipeline,
 )
+from repro.dataflow.engine import Engine
 from repro.dataflow.verify import SKIP_FORMULA_SLACK, SOLVER_IMAGES, Diagnostic
 from repro.kernels import ForkKernel
 from repro.nn import input_to_levels
@@ -122,10 +123,13 @@ class TestSkipSolver:
             bound = skip_formula_bound(tiny_resnet_graph, add_name)
             assert 1 <= required <= bound + SKIP_FORMULA_SLACK
 
-    def test_solution_cached_on_graph(self, tiny_resnet_graph):
+    def test_solution_cached_on_graph(self, tiny_resnet_graph, monkeypatch):
         first = solve_skip_capacities(tiny_resnet_graph)
-        assert tiny_resnet_graph._skip_capacity_cache
+        assert tiny_resnet_graph.timing_runs
+        runs = []
+        monkeypatch.setattr(Engine, "run", lambda *args, **kw: runs.append(args))
         assert solve_skip_capacities(tiny_resnet_graph) == first
+        assert runs == []
 
     def test_sanitizer_catches_doctored_prediction(self, tiny_resnet_graph, resnet_levels):
         sr = simulate(tiny_resnet_graph, resnet_levels)

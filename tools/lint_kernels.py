@@ -11,8 +11,10 @@ KC001  ``tick()`` must return a stall classification or None — i.e. every
        of ``self._starved(...)`` / ``self._blocked(...)`` / ``self._idle(...)``.
        Anything else would make the engine park the kernel on a garbage
        code (or never park it), desynchronizing fast and exhaustive runs.
-KC002  Kernels must not mutate streams outside ``push``/``pop``: no calls
-       to mutators on a ``._fifo`` deque, and no assignments through
+KC002  Kernels must not mutate streams outside the stream's push/pop
+       methods (``push``/``pop`` and ``push_token``/``pop_token``): no calls
+       to mutators on a ``._fifo`` deque or on its parallel ``._values``
+       deque (the two must stay in step), and no assignments through
        attribute chains that are not rooted at ``self`` (reading
        ``stream._fifo`` on the hot path is allowed and idiomatic here).
        Out-of-band mutation would bypass the push/pop wake hooks.
@@ -32,8 +34,8 @@ KC005  A kernel's slots-dataclass state (its ``stats`` record, or any
        changes its counters, desynchronizing fast and exhaustive runs.
 KC006  The fast scheduler's per-kernel state (``_parked``, ``_wake_at``,
        ``_park_cycle``, ``_park_kind``, ``_sched_index``, ``_wake_heap``)
-       is assigned only by the engine, the ``Stream.push``/``pop`` wake
-       hooks, the leap controller's jump (``LeapController._apply``) and
+       is assigned only by the engine, the stream wake hooks
+       (``Stream.push_token``/``pop_token``), the leap controller's jump (``LeapController._apply``) and
        ``Kernel.__init__``/``reset``.  The engine's wake heap mirrors every
        lowering of ``_wake_at``; a write from anywhere else bypasses it and
        silently drops a wake.  This rule checks the whole package.
@@ -106,7 +108,7 @@ SCHEDULER_FIELDS = {
 }
 SCHEDULER_WRITERS: dict[str, set[str] | None] = {
     "repro/dataflow/engine.py": None,
-    "repro/dataflow/stream.py": {"Stream.push", "Stream.pop"},
+    "repro/dataflow/stream.py": {"Stream.push_token", "Stream.pop_token"},
     "repro/dataflow/leap.py": {"LeapController._apply"},
     "repro/dataflow/kernel.py": {"Kernel.__init__", "Kernel.reset"},
 }
@@ -212,6 +214,17 @@ def _is_stream_expr(node: ast.expr, stream_aliases: set[str]) -> bool:
     return False
 
 
+def _is_fifo_attr(node: ast.Attribute, stream_aliases: set[str]) -> bool:
+    """Is ``node`` a stream deque: any ``X._fifo``, or a stream's ``._values``?
+
+    A stream's value deque stays in step with its ``_fifo``, so it is as
+    off-limits; a kernel's own ``self._values`` field is its own state.
+    """
+    if node.attr == "_fifo":
+        return True
+    return node.attr == "_values" and _is_stream_expr(node.value, stream_aliases)
+
+
 def _collect_aliases(func: ast.FunctionDef) -> tuple[set[str], set[str]]:
     """Local names aliasing streams and fifo deques (fixpoint over assigns)."""
     stream_aliases: set[str] = set()
@@ -232,7 +245,7 @@ def _collect_aliases(func: ast.FunctionDef) -> tuple[set[str], set[str]]:
         for target, value in assigns:
             if not isinstance(target, ast.Name):
                 continue
-            is_fifo = isinstance(value, ast.Attribute) and value.attr == "_fifo"
+            is_fifo = isinstance(value, ast.Attribute) and _is_fifo_attr(value, stream_aliases)
             if is_fifo:
                 if target.id not in fifo_aliases:
                     fifo_aliases.add(target.id)
@@ -254,10 +267,15 @@ def _check_stream_mutation(path: Path, cls: ast.ClassDef, out: list[Violation]) 
             root = _attr_root(node)
             if isinstance(root, ast.Name) and root.id in fifo_aliases:
                 return True
-            return "_fifo" in _chain_attrs(node)
+            while isinstance(node, (ast.Attribute, ast.Subscript)):
+                if isinstance(node, ast.Attribute) and _is_fifo_attr(node, stream_aliases):
+                    return True
+                node = node.value
+            return False
 
         for node in ast.walk(item):
-            # Mutator call on a fifo deque: X._fifo.append(...) / fifo.popleft().
+            # Mutator call on a fifo deque: X._fifo.append(...) / fifo.popleft()
+            # (or the same on X._values).
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 func = node.func
                 if func.attr in FIFO_MUTATORS and touches_fifo(func.value):
@@ -267,7 +285,7 @@ def _check_stream_mutation(path: Path, cls: ast.ClassDef, out: list[Violation]) 
                             node.lineno,
                             "KC002",
                             f"{cls.name}.{item.name} mutates a stream FIFO directly "
-                            f"(._fifo.{func.attr}); use Stream.push/pop",
+                            f"(.{func.attr}() on a stream deque); use Stream.push/pop",
                         )
                     )
             # Assignment into a stream or its FIFO: out.capacity = ..., fifo[0] = ...
