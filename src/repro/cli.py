@@ -989,7 +989,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit non-zero unless p99 service latency is within this many cycles",
     )
     p_load.add_argument(
-        "--max-cycles", type=int, default=50_000_000, help="abort budget in cycles"
+        "--max-cycles",
+        type=int,
+        default=50_000_000,
+        help="abort budget in cycles, counted past the last arrival",
     )
     p_load.add_argument(
         "--exhaustive",
@@ -1101,7 +1104,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--force", action="store_true", help="overwrite an existing --out file"
     )
     p_fleet.add_argument(
-        "--max-cycles", type=int, default=50_000_000, help="per-replica abort budget in cycles"
+        "--max-cycles",
+        type=int,
+        default=50_000_000,
+        help="per-replica abort budget in cycles, counted past its last arrival",
     )
     p_fleet.set_defaults(func=_cmd_fleet)
 
@@ -1326,19 +1332,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _bad_rate(args: argparse.Namespace) -> str | None:
-    """One line naming a ``--rate``/``--sweep`` value that is not a finite FPS > 0."""
+def _bad_arg(args: argparse.Namespace) -> str | None:
+    """One line naming the first numeric flag outside its valid range.
+
+    ``--rate``/``--sweep`` take finite FPS > 0, ``--every`` a sample cadence
+    >= 1, ``--fill-cap`` a finite fraction in (0, 1].
+    """
+    prefix = f"repro {args.command}:"
     for flag in ("rate", "sweep"):
         value = getattr(args, flag, None)
         for rate in value if isinstance(value, list) else [value]:
             if rate is not None and not (math.isfinite(rate) and rate > 0):
-                return f"repro {args.command}: --{flag} must be a finite FPS > 0, got {rate!r}"
+                return f"{prefix} --{flag} must be a finite FPS > 0, got {rate!r}"
+    every = getattr(args, "every", None)
+    if every is not None and every < 1:
+        return f"{prefix} --every must be >= 1, got {every}"
+    cap = getattr(args, "fill_cap", None)
+    if cap is not None and not (math.isfinite(cap) and 0 < cap <= 1):
+        return f"{prefix} --fill-cap must be a finite fraction in (0, 1], got {cap!r}"
     return None
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    bad = _bad_rate(args)
+    bad = _bad_arg(args)
     if bad is not None:
         print(bad, file=sys.stderr)
         return 2

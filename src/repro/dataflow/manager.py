@@ -30,7 +30,6 @@ from ..nn.graph import (
     AddNode,
     ConvNode,
     GlobalAvgSumNode,
-    InputNode,
     LayerGraph,
     MaxPoolNode,
     TensorSpec,
@@ -98,6 +97,19 @@ class Pipeline:
     # The memoized value pass over this pipeline's own images (see
     # leap.batch_reference_outputs); None until first asked for.
     outputs: np.ndarray | None = field(default=None, repr=False)
+
+    def cycle_budget(self, max_cycles: int) -> int:
+        """The abort cycle for a run given ``max_cycles``.
+
+        On an open-loop pipeline the budget counts from the last arrival:
+        until then a slow source is waiting, not deadlocked, so a budget
+        counted from cycle 0 would abort every low offered rate.  A budget
+        that is not positive passes through for the engine to reject.
+        """
+        arrivals = self.source.arrival_cycles
+        if not arrivals or max_cycles <= 0:
+            return max_cycles
+        return max_cycles + arrivals[-1]
 
 
 @dataclass
@@ -452,6 +464,10 @@ def simulate(
     kernels) degrade to the fast path with
     ``StreamingRun.leap_report.demoted`` set and ``demotion_reason``
     naming the cause — check the report to see whether leaps happened.
+
+    ``max_cycles`` is the abort budget.  With ``arrival_cycles`` it counts
+    past the last arrival (:meth:`Pipeline.cycle_budget`), so the run
+    raises only after ``max_cycles + arrival_cycles[-1]`` cycles.
     """
     if mode is not None:
         if mode not in ("exhaustive", "fast", "leap"):
@@ -487,7 +503,7 @@ def simulate(
             )
     cycles = pipeline.engine.run(
         lambda: pipeline.sink.done,
-        max_cycles=max_cycles,
+        max_cycles=pipeline.cycle_budget(max_cycles),
         fast=fast,
         trace=trace,
         telemetry=telemetry,

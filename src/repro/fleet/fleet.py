@@ -166,7 +166,9 @@ class FleetConfig:
     fclk_mhz: float = DEFAULT_FCLK_MHZ
     host_link: LinkSpec = PCIE_GEN2_X8
     batch: int = 4  # batch-aware policy's granularity
-    max_cycles: int = 50_000_000  # per-replica abort budget
+    # Per-replica abort budget, counted past the replica's last arrival; an
+    # aborted replica reports max_cycles + that arrival cycle as its cycles.
+    max_cycles: int = 50_000_000
     workers: int = 0  # 0 = serial reference path
 
     def __post_init__(self) -> None:
@@ -402,14 +404,13 @@ def _replica_worker(
     pipeline = build_pipeline(
         graph, images, fclk_mhz=fclk_mhz, arrival_cycles=list(fabric_arrivals)
     )
+    budget = pipeline.cycle_budget(max_cycles)
     try:
-        cycles = pipeline.engine.run(
-            lambda: pipeline.sink.done, max_cycles=max_cycles, fast=True
-        )
+        cycles = pipeline.engine.run(lambda: pipeline.sink.done, max_cycles=budget, fast=True)
     except RuntimeError as err:
         result["aborted"] = True
         result["abort_message"] = str(err)
-        cycles = max_cycles
+        cycles = budget
     report = latency_report(pipeline, cycles)
     completions = pipeline.sink.completion_cycles
     result["n_completed"] = len(completions)

@@ -29,8 +29,43 @@ import numpy as np
 from ..dataflow.kernel import Kernel
 from ..dataflow.window import ScanWindow, depth_first_buffer_elements
 from ..nn.graph import ConvNode, TensorSpec
+from .threshold import IntegerThresholds
 
 __all__ = ["ConvKernel"]
+
+# The largest GEMM OpenBLAS runs on the calling thread alone: at or below
+# M·N·K = 65536 x GEMM_MULTITHREAD_THRESHOLD (4) it skips its worker pool.
+# A larger GEMM wakes the workers, and they spin after the call returns.
+# On a 2-vCPU host an uncapped 64-image VGG value pass used twice its wall
+# time in CPU, and perfbench's fleet-open, which runs replicas next to each
+# other, simulated 13-20% slower, though each pass alone ran faster.  So
+# every value-pass GEMM is split to stay at or below this size.
+SINGLE_THREAD_GEMM_MNK = 1 << 18
+
+# Integers below 2**24 in magnitude are exact float32 values.
+FLOAT32_EXACT = 1 << 24
+
+
+def capped_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """``out[...] = a @ b`` through GEMMs of at most SINGLE_THREAD_GEMM_MNK.
+
+    Row blocks of ``a`` go through one stacked ``matmul`` call, which runs
+    one BLAS GEMM per block; the weight side splits into column blocks only
+    when ``K·N`` alone exceeds the cap (a block floors at one row and one
+    column).
+    """
+    m, k = a.shape
+    n = b.shape[1]
+    cols = max(1, min(n, SINGLE_THREAD_GEMM_MNK // k))
+    rows = max(1, SINGLE_THREAD_GEMM_MNK // (k * cols))
+    full = m - m % rows
+    for c0 in range(0, n, cols):
+        w = b[:, c0 : c0 + cols]
+        o = out[:, c0 : c0 + cols]
+        if full:
+            np.matmul(a[:full].reshape(-1, rows, k), w, out=o[:full].reshape(-1, rows, o.shape[1]))
+        if full < m:
+            np.matmul(a[full:], w, out=o[full:])
 
 
 class ConvKernel(Kernel):
@@ -121,21 +156,15 @@ class ConvKernel(Kernel):
         return self.node.weights.reshape(-1, self.out_channels).astype(np.float64)
 
     @cached_property
-    def _thresholds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-        """Fused-threshold tables (the paper's normalization cache).
+    def _wmat_f32(self) -> np.ndarray:
+        # Straight from the int8 signs: the float32 route never builds the
+        # float64 matrix, which would double the cached weight bytes.
+        return self.node.weights.reshape(-1, self.out_channels).astype(np.float32)
 
-        Per-output-channel endpoints with the slope sign folded in, so one
-        ``>=`` comparison covers both polarities (count(acc <= e) ==
-        count(-acc >= -e)), plus the sign vector and the constant levels
-        used where the slope is zero.
-        """
+    @cached_property
+    def _levels(self) -> IntegerThresholds | None:
         unit = self.node.threshold
-        if unit is None:
-            return None
-        ends = unit.endpoints()  # (O, 2**n - 1)
-        sign = np.asarray(unit.slope_sign)
-        sv = np.where(sign < 0, -1.0, 1.0)
-        return ends * sv[:, None], sv, sign == 0, np.asarray(unit.const_level)
+        return None if unit is None else IntegerThresholds(unit)
 
     # -- geometry ------------------------------------------------------
     def _is_pad(self, r: int, c: int) -> bool:
@@ -172,62 +201,69 @@ class ConvKernel(Kernel):
         """
         if self.use_bitops:
             acc = self._accumulate_bitpacked(window.reshape(-1))
-            acc_f = acc.astype(np.float64)
         else:
-            acc_f = window.reshape(-1).astype(np.float64) @ self._wmat_f
-        return self._threshold(acc_f).tolist()
-
-    def _threshold(self, acc: np.ndarray) -> np.ndarray:
-        """Vectorized ThresholdUnit.apply over a ``(..., O)`` accumulator.
-
-        The level is the count of sign-folded endpoints at-or-below the
-        accumulator, the constant level where the slope is zero; without a
-        fused unit the accumulator itself is the output.
-        """
-        tables = self._thresholds
-        if tables is None:
-            return acc.astype(np.int64)
-        ends, sv, is_const, const = tables
-        out = ((acc * sv)[..., None] >= ends).sum(axis=-1, dtype=np.int64)
-        return np.where(is_const, const, out)
+            acc = window.reshape(-1).astype(np.float64) @ self._wmat_f
+        levels = self._levels
+        out = acc.astype(np.int64) if levels is None else levels(acc[None])[0]
+        return out.tolist()
 
     def leap_phase(self, cycle: int) -> tuple[int, ...]:
         # Scan position and emit backlog fully determine the next tick's
         # control flow; window *contents* are data and never steer it.
         return (self._pos, self._pending)
 
-    def batch_compute(self, x: np.ndarray) -> np.ndarray:
-        """All output pixels of a batch of images as one blocked GEMM.
+    def gemm_dtype(self, x: np.ndarray) -> type[np.floating]:
+        """The value pass's GEMM dtype for input batch ``x``.
 
-        ``x`` is ``(N, H, W, C)`` level-space int64; the result is
-        ``(N, Ho, Wo, O)``.  The W-windows × N-images im2col matrix goes
-        through the same float64 weight matrix and vectorized threshold
-        cascade as the streaming per-window path — every product and sum is
-        an exact integer far below 2**53, so the batched result is
-        bit-identical regardless of BLAS blocking (and to the bitops route,
-        a tested property).  The value pass
+        Every partial sum of a ±1-weighted window is an integer of magnitude
+        at most ``k²·C·max(|x|, |pad level|)``; below 2**24 each one is an
+        exact float32 value in any summation order, so float32 GEMMs give
+        the exact accumulator.  Otherwise float64 (exact below 2**53).  The
+        peak comes from the data, never from an ``acc`` spec, whose width is
+        clamped to the skip-path bits and can understate the range.
+        """
+        peak = max(int(x.max(initial=0)), -int(x.min(initial=0)), abs(self._pad_value))
+        bound = self.k * self.k * self.channels * peak
+        return np.float32 if bound < FLOAT32_EXACT else np.float64
+
+    def batch_compute(self, x: np.ndarray) -> np.ndarray:
+        """All output pixels of a batch of images, one GEMM per window tap.
+
+        ``x`` is ``(N, H, W, C)`` level-space; the result is ``(N, Ho, Wo,
+        O)``.  For each of the k² taps the batch's input pixels under that
+        tap are gathered into one contiguous ``(N·Ho·Wo, C)`` matrix and
+        multiplied by the tap's ``(C, O)`` weights in :meth:`gemm_dtype`,
+        which keeps every sum exact, so the result is bit-identical whatever
+        the BLAS blocking (and to the bitops route, a tested property).  The
+        fused unit then levels the accumulators through
+        :class:`~repro.kernels.threshold.IntegerThresholds`.  The value pass
         (:func:`~repro.dataflow.leap.batch_reference_outputs`) serves every
         timing-only run's outputs through it.
         """
         n = x.shape[0]
-        k, stride = self.k, self.stride
-        grid = np.full((n, self.hp, self.wp, self.channels), float(self._pad_value))
-        p = self.pad
+        k, stride, p = self.k, self.stride, self.pad
+        dtype = self.gemm_dtype(x)
+        grid = np.full((n, self.hp, self.wp, self.channels), self._pad_value, dtype=dtype)
         grid[:, p : self.hp - p, p : self.wp - p, :] = x
         n_out_r = (self.hp - k) // stride + 1
         n_out_c = (self.wp - k) // stride + 1
-        # One (C_in, O) GEMM per window tap, accumulated over the k*k taps:
-        # im2col would gather the same data into one giant matrix, but the
-        # strided 6D copy dwarfs the GEMM itself at batch scale.  The weight
-        # matrix unflattens back to (k, k, C, O) — the ScanWindow tap order.
-        taps = self._wmat_f.reshape(k, k, self.channels, self.out_channels)
-        acc = np.zeros((n, n_out_r, n_out_c, self.out_channels))
+        m = n * n_out_r * n_out_c
+        # The weight matrix unflattens to (k, k, C, O): the ScanWindow tap order.
+        wmat = self._wmat_f32 if dtype is np.float32 else self._wmat_f
+        taps = wmat.reshape(k, k, self.channels, self.out_channels)
+        acc = np.empty((m, self.out_channels), dtype=dtype)
+        term = np.empty_like(acc)
         for dr in range(k):
             for dc in range(k):
                 rows = grid[:, dr : dr + (n_out_r - 1) * stride + 1 : stride,
                             dc : dc + (n_out_c - 1) * stride + 1 : stride, :]
-                acc += rows @ taps[dr, dc]
-        return self._threshold(acc)
+                first = dr == 0 and dc == 0
+                capped_matmul(rows.reshape(m, self.channels), taps[dr, dc], acc if first else term)
+                if not first:
+                    acc += term
+        acc = acc.reshape(n, n_out_r, n_out_c, self.out_channels)
+        levels = self._levels
+        return acc.astype(np.int64) if levels is None else levels(acc)
 
     def _accumulate_bitpacked(self, vec: np.ndarray) -> np.ndarray:
         """One AND-popcount GEMM for a single window vector.

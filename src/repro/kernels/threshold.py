@@ -9,14 +9,82 @@ over the ``2**n − 1`` pre-computed endpoints of the element's channel.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 
 import numpy as np
 
 from ..dataflow.kernel import Kernel
 from ..nn.graph import TensorSpec, ThresholdNode
+from ..quantization.thresholds import ThresholdUnit
 
-__all__ = ["ThresholdKernel"]
+__all__ = ["IntegerThresholds", "ThresholdKernel"]
+
+
+class IntegerThresholds:
+    """A :class:`ThresholdUnit` leveled over integer accumulators, batched.
+
+    For an integer ``a`` and a real endpoint ``e``, ``a >= e`` exactly when
+    ``a >= ceil(e)``; with the slope sign folded in (``a <= e`` iff
+    ``-a >= -e``) every channel's level is the count of its ceiled,
+    sign-folded endpoints at or below the sign-folded accumulator, and a
+    zero-slope channel takes its constant level.  The comparisons are exact
+    in the accumulator's own float dtype as long as it holds every value
+    exactly (float32 below 2**24, float64 below 2**53): a ceiled endpoint
+    in that range converts exactly, and one beyond it stays beyond every
+    value.  Bit-identical to :meth:`ThresholdUnit.apply` on integer inputs
+    (a tested property).  One routine serves the conv's fused unit, per
+    window and per batch, and the standalone threshold kernel's value pass;
+    that kernel's streaming ``tick`` bisects the same tables per element
+    (the paper's comparison cascade).
+    """
+
+    def __init__(self, unit: ThresholdUnit) -> None:
+        sign = np.asarray(unit.slope_sign)
+        self.flip = np.where(sign < 0, -1.0, 1.0)
+        self.is_const = sign == 0
+        self.const = np.asarray(unit.const_level)
+        folded = unit.endpoints() * self.flip[:, None]
+        folded[self.is_const] = 0.0  # unused; keeps NaNs out of the tables
+        # (C, E), ascending per channel; ceil keeps infinities as they are.
+        self.ends = np.sort(np.ceil(folded), axis=1)
+        self.count_dtype = np.min_scalar_type(self.ends.shape[1])
+        self.flips = bool((sign < 0).any())
+        self.has_const = bool(self.is_const.any())
+        self._tables: dict[tuple[int, np.dtype], tuple[np.ndarray | None, np.ndarray]] = {}
+
+    def __call__(self, acc: np.ndarray) -> np.ndarray:
+        """Levels of an integer-valued ``(..., W, C)`` accumulator, as int64.
+
+        Integer arrays are compared in float64, so their values must stay
+        below 2**53 in magnitude (skip-path sums are 16-bit).
+        """
+        if acc.dtype.kind != "f":
+            acc = acc.astype(np.float64)
+        # Rows of a whole image row (Wo pixels x C channels) against the
+        # per-channel tables tiled to match: long inner loops, not one numpy
+        # inner loop per pixel.  One compare-and-count pass per endpoint,
+        # counted in the smallest dtype that holds their number.
+        shape = acc.shape
+        flip, ends = self._tiled(shape[-2], acc.dtype)
+        v = acc.reshape(-1, ends.shape[1])
+        if flip is not None:
+            v = v * flip
+        out = (v >= ends[0]).astype(self.count_dtype)
+        for e in ends[1:]:
+            out += v >= e
+        out = out.reshape(shape)
+        if self.has_const:
+            np.copyto(out, self.const, where=self.is_const, casting="unsafe")
+        return out.astype(np.int64)
+
+    def _tiled(self, rep: int, dtype: np.dtype) -> tuple[np.ndarray | None, np.ndarray]:
+        """The slope signs and ``(E, rep·C)`` endpoints repeated over ``rep`` pixels."""
+        key = (rep, dtype)
+        tables = self._tables.get(key)
+        if tables is None:
+            flip = np.tile(self.flip, rep).astype(dtype) if self.flips else None
+            tables = self._tables[key] = (flip, np.tile(self.ends.T, (1, rep)).astype(dtype))
+        return tables
 
 
 class ThresholdKernel(Kernel):
@@ -33,17 +101,15 @@ class ThresholdKernel(Kernel):
             raise ValueError(f"{name}: threshold channels != stream channels")
         # Pre-compute per-channel endpoint tables once (the normalization
         # cache of the paper: two parameters per channel, expanded here).
-        ends = self.unit.endpoints()
-        self._signs = [int(s) for s in self.unit.slope_sign]
+        # The batched routine's ceiled, sign-folded endpoints serve the hot
+        # path too (stream elements are integers): one bisect_right over
+        # them counts the level of either slope polarity (plain Python
+        # bisect beats an np.searchsorted call per element by ~5x).
+        self._levels = IntegerThresholds(self.unit)
+        self._ends = [row.tolist() for row in self._levels.ends]
+        self._flip = [int(f) for f in self._levels.flip]
+        self._is_const = self._levels.is_const.tolist()
         self._const = [int(v) for v in self.unit.const_level]
-        # Ascending per-channel endpoint lists for the hot path: plain
-        # Python bisect beats an np.searchsorted call per element by ~5x.
-        # Negative-slope channels store the reversed (ascending) endpoints.
-        self._asc: list[list[float]] = [
-            ends[c][::-1].tolist() if self._signs[c] < 0 else ends[c].tolist()
-            for c in range(self.channels)
-        ]
-        self._n_ends = ends.shape[1]
         self.images_done = 0
         self._count = 0
         self._per_image = in_spec.elements
@@ -55,23 +121,8 @@ class ThresholdKernel(Kernel):
         return (self._count,)
 
     def batch_compute(self, x: np.ndarray) -> np.ndarray:
-        """Batched threshold pass over ``(N, H, W, C)``, one searchsorted per channel.
-
-        Mirrors the per-element bisect of :meth:`tick` exactly — bisect_right
-        on ascending endpoints for positive slopes, the reversed left-search
-        count for negative ones, the constant level where the slope is zero.
-        """
-        out = np.empty(x.shape, dtype=np.int64)
-        for c in range(self.channels):
-            v = x[..., c]
-            sign = self._signs[c]
-            if sign == 0:
-                out[..., c] = self._const[c]
-            elif sign > 0:
-                out[..., c] = np.searchsorted(self._asc[c], v, side="right")
-            else:
-                out[..., c] = self._n_ends - np.searchsorted(self._asc[c], v, side="left")
-        return out
+        """Batched threshold pass over ``(N, H, W, C)`` (:class:`IntegerThresholds`)."""
+        return self._levels(x)
 
     def tick(self, cycle: int) -> int | None:
         inp = self.inputs[0]
@@ -87,13 +138,10 @@ class ThresholdKernel(Kernel):
             # innermost, and every image is a whole number of pixels).
             value = inp.pop(cycle)
             chan = count % self.channels
-            sign = self._signs[chan]
-            if sign == 0:
+            if self._is_const[chan]:
                 level = self._const[chan]
-            elif sign > 0:
-                level = bisect_right(self._asc[chan], value)
             else:
-                level = self._n_ends - bisect_left(self._asc[chan], value)
+                level = bisect_right(self._ends[chan], value * self._flip[chan])
             out.push(level, cycle)
         else:
             inp.pop_token(cycle)

@@ -27,7 +27,7 @@ from typing import Any
 import networkx as nx
 import numpy as np
 
-from ..quantization.bitops import BitPackedMatrix, BitplaneTensor, bitplane_gemm, pack_signs
+from ..quantization.bitops import BitPackedMatrix, BitplaneTensor, bitplane_gemm
 from ..quantization.thresholds import ThresholdUnit
 from . import functional as F
 

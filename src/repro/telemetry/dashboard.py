@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import sys
 import time
-from typing import IO, TYPE_CHECKING, Any
+from typing import IO, TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .collector import Telemetry

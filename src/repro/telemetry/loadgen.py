@@ -242,6 +242,9 @@ def run_load(
     cycle budget runs out) does not propagate: the per-image records of the
     images that *did* complete are exactly what the latency report needs,
     and the result carries the abort message and an SLO-violating verdict.
+    ``max_cycles`` counts past the last arrival
+    (:meth:`~repro.dataflow.manager.Pipeline.cycle_budget`); an aborted
+    run reports ``max_cycles`` plus the last arrival cycle as its cycles.
     """
     from ..dataflow.manager import build_pipeline
 
@@ -260,14 +263,13 @@ def run_load(
     )
     aborted = False
     abort_message: str | None = None
+    budget = pipeline.cycle_budget(max_cycles)
     try:
-        cycles = pipeline.engine.run(
-            lambda: pipeline.sink.done, max_cycles=max_cycles, fast=fast
-        )
+        cycles = pipeline.engine.run(lambda: pipeline.sink.done, max_cycles=budget, fast=fast)
     except RuntimeError as err:
         aborted = True
         abort_message = str(err)
-        cycles = max_cycles
+        cycles = budget
     report = latency_report(pipeline, cycles)
     completions = pipeline.sink.completion_cycles
     achieved: float | None = None

@@ -310,6 +310,19 @@ class TestCli:
         assert first["schema"] == "repro-fleet/1"
         assert first["aggregate"]["conserved"]
 
+    def test_low_rate_fleet_conserves(self, capsys):
+        """10 FPS over 2 replicas: arrivals run past a 50M-cycle budget from 0."""
+        assert main(["fleet", "--replicas", "2", "--rate", "10", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["aggregate"]["conserved"]
+        assert not any(rep["aborted"] for rep in payload["replicas"])
+
+    @pytest.mark.parametrize("cap", ["nan", "inf", "0", "-0.5", "1.5"])
+    def test_bad_fill_cap_exits_2_with_one_line(self, cap, capsys):
+        assert main(["fleet", "--mix", "vgg:16:0.0625", "--plan-dfes", f"--fill-cap={cap}"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--fill-cap" in err and cap in err, err
+
     def test_fleet_render_and_slo_gate(self, capsys):
         ok = main(["fleet", "--replicas", "2", "--rate", "20000", "--images", "4",
                    "--slo-p99-cycles", "100000"])

@@ -125,6 +125,36 @@ class TestRunLoad:
         assert overload.slo_violated(service_p99 + 100)
 
 
+class TestBudgetPastLastArrival:
+    """The abort budget counts from the last arrival, not from cycle 0."""
+
+    def test_low_rate_completes_past_a_budget_from_cycle_0(self):
+        # 1 FPS: arrivals 105M cycles apart, far past a 50M budget from 0.
+        result = run_load(_graph(), _images(n=3), rate_fps=1.0)
+        assert not result.aborted, result.abort_message
+        assert result.report.n_images == 3
+        assert result.schedule.cycles[-1] > 50_000_000
+
+    def test_a_stuck_run_still_aborts_at_the_budget(self):
+        result = run_load(_graph(), _images(n=3), rate_fps=1.0, max_cycles=100)
+        last = result.schedule.cycles[-1]
+        assert result.aborted and result.cycles == last + 100
+        assert f"{last + 100}" in result.abort_message
+
+    def test_budget_helper(self):
+        from repro.dataflow.manager import build_pipeline
+
+        images = _images(n=2)
+        closed = build_pipeline(_graph(), images)
+        assert closed.cycle_budget(1000) == 1000
+        open_loop = build_pipeline(_graph(), images, arrival_cycles=[5, 70])
+        assert open_loop.cycle_budget(1000) == 1070
+        # A budget that is not positive reaches the engine, which rejects it.
+        assert open_loop.cycle_budget(0) == 0
+        with pytest.raises(ValueError, match="max_cycles"):
+            open_loop.engine.run(lambda: open_loop.sink.done, max_cycles=open_loop.cycle_budget(0))
+
+
 class TestSweep:
     def test_curve_schema_and_points(self):
         rates = [500.0, 5_000.0, 50_000.0]
@@ -157,6 +187,11 @@ class TestCli:
         assert first == second
         assert first["schema"] == "repro-load/1"
         assert first["latency"]["service_cycles"]["p99"] == second["latency"]["service_cycles"]["p99"]
+
+    def test_low_rate_load_completes(self, capsys):
+        assert main(["load", "--rate", "1", "--images", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "ABORTED" not in out and "(n=3)" in out
 
     def test_load_requires_a_rate(self, capsys):
         assert main(["load", "--images", "2"]) == 2

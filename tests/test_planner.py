@@ -302,6 +302,20 @@ class TestPlanCli:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "--dfes" in err[0]
 
+    @pytest.mark.parametrize("command", [["plan", "vgg"], ["check", "vgg", "--plan"]])
+    @pytest.mark.parametrize("cap", ["nan", "inf", "-inf", "0", "-0.25", "1.01"])
+    def test_bad_fill_cap_exits_2_naming_the_flag(self, capsys, command, cap):
+        from repro.cli import main
+
+        assert main([*command, f"--fill-cap={cap}"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "--fill-cap" in err[0] and "(0, 1]" in err[0], err
+
+    def test_full_fill_cap_is_accepted(self, capsys):
+        from repro.cli import main
+
+        assert main(["plan", "vgg:16:0.0625", "--fill-cap", "1"]) == 0
+
     def test_check_json_payload(self, capsys):
         from repro.cli import main
 

@@ -53,6 +53,38 @@ class TestImagesEdge:
         assert err == [f"--images must be >= 1, got {images}"]
 
 
+class TestEveryEdge:
+    @pytest.mark.parametrize(
+        "command", [["simulate", "--json"], ["top", "--plain", "--refresh", "0"]]
+    )
+    @pytest.mark.parametrize("every", ["0", "-3"])
+    def test_bad_cadence_exits_2_naming_the_flag(self, capsys, command, every):
+        rc = cli_main([*command, "--every", every])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"repro {command[0]}: --every must be >= 1, got {every}"]
+
+
+class TestLowRateSimulate:
+    def test_arrivals_past_a_budget_from_cycle_0_complete(self, capsys):
+        # 1 FPS puts the third arrival at ~210M cycles, past the 50M budget.
+        assert cli_main(["simulate", "--rate", "1", "--images", "3", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["finished"]
+
+    def test_library_budget_counts_past_the_last_arrival(self):
+        import numpy as np
+
+        from repro.dataflow import simulate
+        from repro.models import direct_vgg_graph
+
+        graph = direct_vgg_graph(16, width=0.0625, classes=4)
+        images = np.random.default_rng(0).integers(0, 4, size=(2, 16, 16, 3))
+        run = simulate(graph, images, arrival_cycles=[0, 80_000_000], max_cycles=50_000_000)
+        assert len(run.run.completion_cycles) == 2
+        assert run.cycles > 80_000_000
+
+
 class TestOutputGuard:
     """Every ``--out`` subcommand goes through the one overwrite guard."""
 

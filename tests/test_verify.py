@@ -9,7 +9,6 @@ FIFO), that the engine's run-time abort agrees with the static verdict.
 import copy
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.dataflow import (
